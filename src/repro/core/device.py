@@ -28,7 +28,7 @@ Execution composition depends on the feature flags:
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 from repro.core.binpack import (ChannelLoadTracker, greedy_min_load_assign,
                                 round_robin_assign)
@@ -43,7 +43,7 @@ from repro.serving.grouping import (DeviceClassPlan, MhaHistogram,
                                     SubBatchClasses, mha_histogram,
                                     shift_histogram)
 from repro.serving.request import InferenceRequest
-from repro.sim.engine import Resource
+from repro.sim.engine import SimulationError
 
 
 @dataclass
@@ -165,9 +165,8 @@ class NeuPimsDevice:
         #: assuming idle channels.
         self.load_tracker: Optional[ChannelLoadTracker] = None
         #: Optional analytic-tier counter model (see
-        #: :meth:`attach_counters`); when attached, iteration results are
-        #: annotated with typed counter vectors before entering the
-        #: replay memo, so memo hits replay counters too.
+        #: :meth:`attach_counters`); when attached, every iteration result
+        #: carries its typed counter vector.
         self.counter_model = None
         self._rr_cursor = 0
         # Per-class MHA contributions, keyed by seq_len.  Every
@@ -178,21 +177,11 @@ class NeuPimsDevice:
         # one entry and repeated mha_stage calls (sub-batches plus the
         # serialized comparison under adaptive SBI) recompute nothing.
         self._class_contrib: Dict[int, Tuple[float, float, float]] = {}
-        # Stage/iteration replay memos: GEMM stages are pure in the
-        # sub-batch token count, MHA stages pure in the class histogram,
-        # and whole iteration results pure in the plan signature — so a
-        # batch whose class signature recurs (steady-state decode,
-        # symmetric Algorithm-3 sub-batches, repeated warmed batches)
-        # replays the memoized result instead of re-simulating.
+        # GEMM stages are pure in the sub-batch token count, which repeats
+        # across iterations.  MHA stages and whole iterations are not
+        # memoized: their class histograms almost never recur while
+        # serving (measured: 0 hits on the perfbench serving workloads).
         self._gemm_memo: Dict[int, GemmStage] = {}
-        self._mha_memo: Dict[MhaHistogram, MhaStageTiming] = {}
-        self._iteration_memo: Dict[Tuple, IterationResult] = {}
-        self._interleave_memo: Dict[Tuple, IterationResult] = {}
-        # Scratch resources for the interleaved list scheduler (reset per
-        # call; busy-interval recording off — only busy totals are read).
-        self._res_npu_s = Resource("npu_s", record_intervals=False)
-        self._res_pim = Resource("pim", record_intervals=False)
-        self._res_npu_v = Resource("npu_v", record_intervals=False)
         # Config-derived MHA constants, hoisted out of the per-request loop.
         overhead = 1.0
         if not self.config.composite_isa:
@@ -319,9 +308,6 @@ class NeuPimsDevice:
         """
         if not hist:
             return MhaStageTiming(0.0, 0.0, 0.0, 0.0)
-        cached = self._mha_memo.get(hist)
-        if cached is not None:
-            return cached
         loads: Dict[int, float] = {}
         raw_total = 0.0
         softmax_total = 0.0
@@ -348,15 +334,11 @@ class NeuPimsDevice:
         # channels (Table 4's accounting), so busy time is the mean
         # stall-free channel load.
         mean_raw = raw_total / self.channel_pool
-        result = MhaStageTiming(pim_cycles=pim_cycles,
-                                softmax_cycles=softmax_total,
-                                transfer_cycles=transfers,
-                                internal_bytes=internal_bytes,
-                                pim_busy_cycles=mean_raw)
-        if len(self._mha_memo) >= 4096:
-            self._mha_memo.clear()
-        self._mha_memo[hist] = result
-        return result
+        return MhaStageTiming(pim_cycles=pim_cycles,
+                              softmax_cycles=softmax_total,
+                              transfer_cycles=transfers,
+                              internal_bytes=internal_bytes,
+                              pim_busy_cycles=mean_raw)
 
     # ------------------------------------------------------------------
     # Iteration execution.
@@ -403,41 +385,24 @@ class NeuPimsDevice:
                             shift: int = 0) -> IterationResult:
         """One iteration of a planned batch after ``shift`` decode steps.
 
-        Results are memoized by the shifted class signature (the
-        iteration replay cache): when a signature recurs the memoized
-        :class:`IterationResult` is returned as-is, which is exact
-        because the result is a pure function of the signature under this
-        device's fixed configuration.
+        Pure in the shifted class signature under this device's fixed
+        configuration; each call returns a fresh :class:`IterationResult`.
         """
         hist = shift_histogram(plan.hist, shift)
         if plan.split is not None and plan.split[0].size \
                 and plan.split[1].size:
             sb1, sb2 = plan.split
-            sub1 = (sb1.size, shift_histogram(sb1.hist, shift))
-            sub2 = (sb2.size, shift_histogram(sb2.hist, shift))
-            signature = (plan.batch_size, hist, sub1, sub2)
-            cached = self._iteration_memo.get(signature)
-            if cached is not None:
-                return cached
-            result = self._interleaved_classes(sub1, sub2)
+            result = self._interleaved_classes(
+                (sb1.size, shift_histogram(sb1.hist, shift)),
+                (sb2.size, shift_histogram(sb2.hist, shift)))
             if self.config.adaptive_sbi:
                 serialized = self._serialized_classes(plan.batch_size, hist)
                 if serialized.latency < result.latency:
                     result = serialized
         else:
-            signature = (plan.batch_size, hist)
-            cached = self._iteration_memo.get(signature)
-            if cached is not None:
-                return cached
             result = self._serialized_classes(plan.batch_size, hist)
         if self.counter_model is not None:
-            # Annotate a copy (interleave-memo objects are shared across
-            # plan signatures) so the counter vector enters the replay
-            # memo with the timing — memo hits replay counters exactly.
-            result = self.counter_model.annotate(result, hist)
-        if len(self._iteration_memo) >= 2048:
-            self._iteration_memo.clear()
-        self._iteration_memo[signature] = result
+            self.counter_model.annotate(result, hist)
         return result
 
     def _serialized_classes(self, batch_tokens: int,
@@ -465,87 +430,78 @@ class NeuPimsDevice:
                              ) -> IterationResult:
         """Figure 11(b): two sub-batches pipelined across NPU-S and PIM.
 
-        The list-scheduled timeline is a pure function of the two
-        sub-batches' frozen stage timings, so it is memoized on them —
-        decode plateaus where the stage scalars repeat (MHA hidden under
-        the GEMM stages) replay the schedule instead of re-running it.
+        Each sub-batch runs QKV (NPU-S) -> MHA (PIM, its softmax on the
+        vector units) -> Proj&FFN (NPU-S) per resident layer.  List
+        scheduling books, at each step, the next operator that can start
+        earliest (ties to sub-batch 0) at ``max(resource free, ready)``.
+        The schedule is kept as plain floats: per sub-batch a ready time,
+        the phase of its next operator and the operators left, plus the
+        NPU-S and PIM free times and the vector units' busy sum.
         """
-        stage_plans: List[Tuple[GemmStage, MhaStageTiming]] = []
+        dual_row_buffer = self.config.dual_row_buffer
+        durations = []
+        softmax = []
         gemm_bytes = 0.0
         internal_bytes = 0.0
         compute_busy = 0.0
+        pim_busy = 0.0
         for size, hist in (sub1, sub2):
             gemm = self.gemm_stage_cycles(size)
             mha = self.mha_stage_classes(hist)
-            stage_plans.append((gemm, mha))
+            # Operator durations by phase: 0 QKV, 1 MHA, 2 Proj&FFN.
+            durations.append((gemm.qkv_cycles, mha.duration(dual_row_buffer),
+                              gemm.projffn_cycles))
+            softmax.append(mha.softmax_cycles)
             gemm_bytes += gemm.external_bytes * self.layers
             internal_bytes += mha.internal_bytes * self.layers
             compute_busy += gemm.compute_cycles * self.layers
-        memo_key = (stage_plans[0], stage_plans[1])
-        cached = self._interleave_memo.get(memo_key)
-        if cached is not None:
-            return cached
+            pim_busy += mha.pim_busy_cycles
+        for duration in (*durations[0], *durations[1], *softmax):
+            if duration < 0:
+                raise SimulationError(f"negative duration {duration}")
+        d0, d1 = durations
+        # The vector units only add each MHA's softmax time to their busy
+        # sum, in schedule order; a zero share books nothing.
+        v0, v1 = [v if v > 0 else 0.0 for v in softmax]
 
-        npu_s = self._res_npu_s
-        pim = self._res_pim
-        npu_v = self._res_npu_v
-        npu_s.reset()
-        pim.reset()
-        npu_v.reset()
+        # ``t = r if r > f else f`` is ``max(f, r)``, inlined.
+        left0 = left1 = 3 * self.layers
+        k0 = k1 = 0
+        r0 = r1 = npu_s_free = pim_free = vector_busy = 0.0
+        while left0 or left1:
+            f0 = pim_free if k0 == 1 else npu_s_free
+            t0 = r0 if r0 > f0 else f0
+            f1 = pim_free if k1 == 1 else npu_s_free
+            t1 = r1 if r1 > f1 else f1
+            if left0 and not (left1 and t1 < t0):
+                r0 = t0 + d0[k0]
+                if k0 == 1:
+                    pim_free = r0
+                    vector_busy += v0
+                else:
+                    npu_s_free = r0
+                k0 = k0 + 1 if k0 < 2 else 0
+                left0 -= 1
+            else:
+                r1 = t1 + d1[k1]
+                if k1 == 1:
+                    pim_free = r1
+                    vector_busy += v1
+                else:
+                    npu_s_free = r1
+                k1 = k1 + 1 if k1 < 2 else 0
+                left1 -= 1
 
-        # Build each sub-batch's operator sequence over the resident layers.
-        sequences: List[List[Tuple[str, float]]] = []
-        for gemm, mha in stage_plans:
-            t_mha = mha.duration(self.config.dual_row_buffer)
-            seq: List[Tuple[str, float]] = []
-            for _ in range(self.layers):
-                seq.append(("npu_s", gemm.qkv_cycles))
-                seq.append(("pim", t_mha))
-                seq.append(("npu_s", gemm.projffn_cycles))
-            sequences.append(seq)
-
-        resources = {"npu_s": npu_s, "pim": pim}
-        ready = [0.0, 0.0]
-        cursor = [0, 0]
-        softmax_share = [plan[1].softmax_cycles for plan in stage_plans]
-        while any(cursor[s] < len(sequences[s]) for s in (0, 1)):
-            # Pick the sub-batch whose next operator can start earliest
-            # (list scheduling); ties favour sub-batch order.
-            best_s, best_start = None, None
-            for s in (0, 1):
-                if cursor[s] >= len(sequences[s]):
-                    continue
-                res_name, _ = sequences[s][cursor[s]]
-                candidate = max(ready[s], resources[res_name].free_at)
-                if best_start is None or candidate < best_start:
-                    best_s, best_start = s, candidate
-            res_name, duration = sequences[best_s][cursor[best_s]]
-            _, end = resources[res_name].acquire_for(duration,
-                                                     earliest=ready[best_s])
-            if res_name == "pim":
-                npu_v.acquire_for(softmax_share[best_s],
-                                  earliest=end - duration)
-            ready[best_s] = end
-            cursor[best_s] += 1
-
-        latency = max(ready)
-        pim_busy = sum(plan[1].pim_busy_cycles
-                       for plan in stage_plans) * self.layers
-        busy = {
-            "npu": compute_busy,
-            "npu_vector": npu_v.busy_time,
-            "pim": pim_busy,
-        }
-        result = IterationResult(
-            latency=latency,
-            busy=busy,
+        return IterationResult(
+            latency=max(r0, r1),
+            busy={
+                "npu": compute_busy,
+                "npu_vector": vector_busy,
+                "pim": pim_busy * self.layers,
+            },
             external_bytes=gemm_bytes,
             internal_pim_bytes=internal_bytes,
         )
-        if len(self._interleave_memo) >= 2048:
-            self._interleave_memo.clear()
-        self._interleave_memo[memo_key] = result
-        return result
 
     # ------------------------------------------------------------------
 

@@ -13,7 +13,7 @@ refutation harness diffs the two.
 
 Per-iteration vectors are a pure function of the batch's
 ``(batch_tokens, class histogram)`` signature under a fixed device
-configuration — the same purity contract as the iteration replay memo —
+configuration — the same purity contract as the iteration timing —
 which is what makes counter totals bit-identical across grouping modes
 and stream-vs-batch consumption.
 """
@@ -29,9 +29,8 @@ class DeviceCounterModel:
     """Computes typed counter vectors for one :class:`NeuPimsDevice`.
 
     Attached via :meth:`repro.core.device.NeuPimsDevice.attach_counters`;
-    when attached, every memo-missing iteration result is annotated with
-    its counter vector before it enters the replay cache, so memo hits
-    replay counters exactly like they replay timing.
+    when attached, every iteration result is stamped with its counter
+    vector as it is built.
     """
 
     __slots__ = ("_num_heads", "_head_dim", "_dtype", "_org", "_composite",
@@ -98,20 +97,7 @@ class DeviceCounterModel:
             "pim.gemv_issue_slots": slots * layers,
         }
 
-    def annotate(self, result, hist):
-        """A copy of an :class:`IterationResult` carrying its counters.
-
-        Returns a fresh result object (never mutates ``result``: the
-        device's interleave memo shares result objects across plan
-        signatures whose counter vectors differ).
-        """
-        from repro.core.device import IterationResult
-        counters = self.iteration_counters(hist, result.latency,
-                                           result.busy.get("npu", 0.0))
-        return IterationResult(
-            latency=result.latency,
-            busy=dict(result.busy),
-            external_bytes=result.external_bytes,
-            internal_pim_bytes=result.internal_pim_bytes,
-            counters=counters,
-        )
+    def annotate(self, result, hist) -> None:
+        """Stamp a freshly built :class:`IterationResult` with its counters."""
+        result.counters = self.iteration_counters(
+            hist, result.latency, result.busy.get("npu", 0.0))

@@ -186,17 +186,6 @@ class Resource:
         self._record_intervals = record_intervals
         self._intervals: List[Tuple[float, float]] = []
 
-    def reset(self) -> None:
-        """Return to the initial idle state (for scratch-resource reuse).
-
-        Iteration-latency models that re-run list scheduling every
-        serving iteration reset a persistent trio of resources instead of
-        allocating fresh ones per call.
-        """
-        self._free_at = 0.0
-        self._busy_time = 0.0
-        self._intervals.clear()
-
     @property
     def free_at(self) -> float:
         """Earliest time at which the resource is idle."""
@@ -237,7 +226,7 @@ class Resource:
         return min(1.0, self._busy_time / horizon)
 
     def reset(self) -> None:
-        """Clear all bookings."""
+        """Clear all bookings: back to the initial idle state."""
         self._free_at = 0.0
         self._busy_time = 0.0
         self._intervals.clear()

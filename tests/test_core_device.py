@@ -1,11 +1,17 @@
 """Unit tests for the NeuPIMs device model."""
 
+from functools import lru_cache
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.config import NeuPimsConfig
-from repro.core.device import NeuPimsDevice, shard_for_mha
+from repro.core.device import (GemmStage, MhaStageTiming, NeuPimsDevice,
+                               shard_for_mha)
 from repro.model.spec import GPT3_7B
 from repro.serving.trace import SHAREGPT, warmed_batch
+from repro.sim.engine import Resource, SimulationError
 
 from tests.conftest import make_request
 
@@ -176,6 +182,123 @@ class TestIteration:
         reqs = batch(8)
         assert device.executor()(reqs) == pytest.approx(
             device.iteration(reqs).latency)
+
+
+def reference_interleave(stages, layers, dual_row_buffer):
+    """Algorithm-3 list scheduling on :class:`Resource` objects.
+
+    ``stages`` holds each sub-batch's ``(GemmStage, MhaStageTiming)``.
+    Every operator books its resource at the earliest start; the next
+    operator is the one that can start first, ties to sub-batch 0.
+    Returns ``(latency, busy)`` as the device reports them.
+    """
+    npu_s = Resource("npu_s", record_intervals=False)
+    pim = Resource("pim", record_intervals=False)
+    npu_v = Resource("npu_v", record_intervals=False)
+    resources = {"npu_s": npu_s, "pim": pim}
+    sequences = [[("npu_s", gemm.qkv_cycles),
+                  ("pim", mha.duration(dual_row_buffer)),
+                  ("npu_s", gemm.projffn_cycles)] * layers
+                 for gemm, mha in stages]
+    ready = [0.0, 0.0]
+    cursor = [0, 0]
+    while any(cursor[s] < len(sequences[s]) for s in (0, 1)):
+        best_s, best_start = None, None
+        for s in (0, 1):
+            if cursor[s] >= len(sequences[s]):
+                continue
+            name, _ = sequences[s][cursor[s]]
+            candidate = max(ready[s], resources[name].free_at)
+            if best_start is None or candidate < best_start:
+                best_s, best_start = s, candidate
+        name, duration = sequences[best_s][cursor[best_s]]
+        _, end = resources[name].acquire_for(duration,
+                                             earliest=ready[best_s])
+        if name == "pim":
+            npu_v.acquire_for(stages[best_s][1].softmax_cycles,
+                              earliest=end - duration)
+        ready[best_s] = end
+        cursor[best_s] += 1
+    busy = {
+        "npu": sum(g.compute_cycles * layers for g, _ in stages),
+        "npu_vector": npu_v.busy_time,
+        "pim": sum(m.pim_busy_cycles for _, m in stages) * layers,
+    }
+    return max(ready), busy
+
+
+@lru_cache(maxsize=None)
+def scheduler_device(dual_row_buffer):
+    return device_with(NeuPimsConfig(dual_row_buffer=dual_row_buffer))
+
+
+# Small integers force start-time ties and zero-length operators.
+durations = st.one_of(
+    st.sampled_from([0.0, 1.0, 2.0, 3.0]),
+    st.floats(min_value=0.0, max_value=1e6, allow_nan=False))
+stage_pair = st.tuples(
+    st.builds(GemmStage, durations, durations, durations, durations),
+    st.builds(MhaStageTiming, durations, durations, durations, durations,
+              durations))
+
+
+class TestInterleavedSchedule:
+    """The float recurrence against the Resource-based list scheduler."""
+
+    @staticmethod
+    def run(stages, layers, dual_row_buffer):
+        device = scheduler_device(dual_row_buffer)
+        device.layers = layers
+        by_key = dict(enumerate(stages))
+        # Serve the drawn stage timings in place of the device's models.
+        device.gemm_stage_cycles = lambda key: by_key[key][0]
+        device.mha_stage_classes = lambda key: by_key[key][1]
+        try:
+            return device._interleaved_classes((0, 0), (1, 1))
+        finally:
+            del device.gemm_stage_cycles, device.mha_stage_classes
+            device.layers = 4
+
+    @settings(max_examples=300, deadline=None)
+    @given(stages=st.tuples(stage_pair, stage_pair),
+           layers=st.integers(1, 96), dual_row_buffer=st.booleans())
+    def test_matches_reference_exactly(self, stages, layers,
+                                       dual_row_buffer):
+        latency, busy = reference_interleave(stages, layers, dual_row_buffer)
+        result = self.run(stages, layers, dual_row_buffer)
+        assert result.latency == latency
+        assert result.busy == busy
+
+    @settings(max_examples=100, deadline=None)
+    @given(stages=st.tuples(stage_pair, stage_pair),
+           layers=st.integers(1, 96), dual_row_buffer=st.booleans(),
+           sub_batch=st.integers(0, 1),
+           field=st.sampled_from(["qkv_cycles", "projffn_cycles",
+                                  "pim_cycles", "softmax_cycles"]),
+           negative=st.floats(min_value=-1e6, max_value=-1e-9))
+    def test_negative_duration_raises_like_reference(
+            self, stages, layers, dual_row_buffer, sub_batch, field,
+            negative):
+        stages = [list(pair) for pair in stages]
+        index = 0 if field in ("qkv_cycles", "projffn_cycles") else 1
+        stages[sub_batch][index] = type(stages[sub_batch][index])(**{
+            **vars(stages[sub_batch][index]), field: negative})
+        try:
+            expected = reference_interleave(stages, layers, dual_row_buffer)
+        except SimulationError:
+            with pytest.raises(SimulationError):
+                self.run(stages, layers, dual_row_buffer)
+        else:
+            # A negative PIM time hidden by the softmax under dual row
+            # buffers leaves every operator non-negative.
+            result = self.run(stages, layers, dual_row_buffer)
+            assert (result.latency, result.busy) == expected
+
+    def test_negative_stage_raises(self):
+        gemm = GemmStage(1.0, -1.0, 0.0, 0.0)
+        mha = MhaStageTiming(1.0, 1.0, 0.0, 0.0)
+        with pytest.raises(SimulationError):
+            self.run([(gemm, mha), (gemm, mha)], 1, True)
 
 
 class TestShardForMha:

@@ -249,15 +249,21 @@ class TestGroupingPrimitives:
         assert device.mha_stage(reqs) == \
             device.mha_stage_classes(mha_histogram(reqs))
 
-    def test_iteration_replay_memo_hits_are_identical(self):
-        device = NeuPimsDevice(GPT3_7B, tp=4, layers_resident=2)
-        reqs = self._requests()
-        plan = device.prepare_class_plan(reqs)
-        first = device.iteration_from_plan(plan, 0)
-        again = device.iteration_from_plan(plan, 0)
-        assert again is first  # exact-signature replay
-        shifted = device.iteration_from_plan(plan, 1)
-        assert shifted.latency >= 0
+    def test_iteration_from_plan_is_pure(self):
+        for counters in (False, True):
+            device = NeuPimsDevice(GPT3_7B, tp=4, layers_resident=2)
+            if counters:
+                device.attach_counters()
+            plan = device.prepare_class_plan(self._requests())
+            first = device.iteration_from_plan(plan, 0)
+            shifted = device.iteration_from_plan(plan, 1)
+            again = device.iteration_from_plan(plan, 0)
+            # Equal on every field (counters included), and a fresh object.
+            assert again == first and again is not first
+            assert bool(first.counters) is counters
+            assert shifted == device.iteration_from_plan(plan, 1)
+            assert shifted.latency > 0
+            assert all(v >= 0 for v in shifted.busy.values())
 
 
 class TestAllocatorLedger:
