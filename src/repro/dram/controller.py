@@ -424,6 +424,10 @@ class MemoryController:
                           log: List[Command]) -> bool:
         """Snapshot the state before a pop; replay a run when it recurs.
 
+        The replay path is picked before the queue is scanned, and the scan
+        stops at the repetitions that path may skip, so a drain costs
+        O(stepped + replayed) commands.
+
         Returns ``True`` when a run was replayed (the caller restarts the
         hunt with fresh history), ``False`` to proceed with a normal step.
         """
@@ -446,23 +450,23 @@ class MemoryController:
                 or not self._replay_hazard_free(queue is self.pim_queue)):
             history[key] = boundary
             return False
-        reps = self._count_matching_reps(queue, block)
+        exact = previous.refresh_rel == refresh_rel
+        if exact:
+            # Exact recurrence: any refreshes are part of the period, so
+            # the deadline shifts along with the clocks.
+            limit = None
+        elif previous.next_refresh == self._next_refresh:
+            # Deadline-agnostic recurrence (no refresh fired during the
+            # probe): skip only repetitions that provably finish every
+            # refresh-sensitive check before the (unmoved) deadline.
+            limit = self._deadline_limited_reps(period, block)
+        else:
+            limit = 0
+        reps = self._count_matching_reps(queue, block, limit)
         if reps > 0:
-            if previous.refresh_rel == refresh_rel:
-                # Exact recurrence: any refreshes are part of the period,
-                # so the deadline shifts along with the clocks.
-                self._apply_run(queue, len(block), reps, period,
-                                previous, boundary, shift_refresh=True)
-                return True
-            if previous.next_refresh == self._next_refresh:
-                # Deadline-agnostic recurrence (no refresh fired during the
-                # probe): skip only repetitions that provably finish every
-                # refresh-sensitive check before the (unmoved) deadline.
-                reps = min(reps, self._deadline_limited_reps(period, block))
-                if reps > 0:
-                    self._apply_run(queue, len(block), reps, period,
-                                    previous, boundary, shift_refresh=False)
-                    return True
+            self._apply_run(queue, len(block), reps, period,
+                            previous, boundary, shift_refresh=exact)
+            return True
         history[key] = boundary
         return False
 
@@ -499,15 +503,18 @@ class MemoryController:
                    for bank in self.channel.banks)
 
     @staticmethod
-    def _count_matching_reps(queue: Deque[Command],
-                             block: List[Command]) -> int:
-        """Full repetitions of ``block`` at the head of ``queue``.
+    def _count_matching_reps(queue: Deque[Command], block: List[Command],
+                             limit: Optional[int] = None) -> int:
+        """Full repetitions of ``block`` at the head of ``queue``, scanning
+        at most ``max(0, limit)`` of them when a ``limit`` is given.
 
         Commands match structurally — row and meta are timing-irrelevant
         (rows cycle per wave, tags vary per request) and are excluded.
         """
         length = len(block)
         full = len(queue) // length
+        if limit is not None:
+            full = min(full, max(0, limit))
         for index, cmd in enumerate(islice(queue, full * length)):
             ref = block[index % length]
             if (cmd.ctype is not ref.ctype or cmd.bank != ref.bank

@@ -8,13 +8,20 @@ the homogeneous run shapes it accelerates (fine-grained wave trains,
 composite streams, GWRITE and RD/WR bursts).
 """
 
+from collections import deque
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.dram.channel import Channel
 from repro.dram.commands import Command, CommandType
 from repro.dram.controller import ControllerConfig, MemoryController
 from repro.dram.timing import HbmOrganization
-from repro.pim.gemv import GemvOp, composite_stream, fine_grained_stream
+from repro.model.spec import GPT3_7B
+from repro.pim.engine import measure_gemv_latency
+from repro.pim.gemv import (GemvOp, composite_stream, fine_grained_stream,
+                            mha_gemv_ops)
 
 ORG = HbmOrganization()
 
@@ -201,4 +208,89 @@ class TestEdgeCases:
             stream += composite_stream(
                 GemvOp(rows=128 * 8, cols=seq_len, tag=f"attend[{i}]"), ORG)
         slow, fast = drain_both(stream)
+        assert_equivalent(slow, fast)
+
+
+#: Structurally distinct commands the cap property draws blocks from.
+SHAPES = [
+    Command(CommandType.PIM_GWRITE, bank=0),
+    Command(CommandType.PIM_ACTIVATION, banks=(0, 1, 2, 3)),
+    Command(CommandType.PIM_ACTIVATION, banks=(4, 5, 6, 7)),
+    Command(CommandType.PIM_DOTPRODUCT),
+    Command(CommandType.RD, bank=2),
+    Command(CommandType.PRE, bank=3),
+]
+
+
+class TestBoundedScan:
+    """A deadline-bounded replay scans only the repetitions it may skip."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(block=st.lists(st.sampled_from(SHAPES), min_size=1, max_size=5),
+           copies=st.integers(0, 12),
+           tail=st.lists(st.sampled_from(SHAPES), max_size=6),
+           limit=st.one_of(st.none(), st.integers(-3, 15)))
+    def test_capped_count_is_min_of_uncapped_and_limit(self, block, copies,
+                                                       tail, limit):
+        # No block holds a header, so the tail mismatches at its head.
+        queue = deque(block * copies + [Command(CommandType.PIM_HEADER)]
+                      + tail)
+        uncapped = MemoryController._count_matching_reps(queue, block)
+        assert uncapped == copies
+        capped = MemoryController._count_matching_reps(queue, block, limit)
+        expected = uncapped if limit is None else min(uncapped, max(0, limit))
+        assert capped == expected
+
+    def test_blocked_fine_logit_scan_is_linear(self, monkeypatch):
+        """The blocked-mode fine-grained logit GEMV at 2048 tokens is
+        mostly deadline-bounded replays; were each to scan the whole
+        remaining queue, the drain would inspect ~171x the stream."""
+        logit, _ = mha_gemv_ops(GPT3_7B.num_heads, GPT3_7B.head_dim, 2048)
+        count = MemoryController._count_matching_reps
+        inspected = 0
+
+        class CountedQueue:
+            """Queue view that tallies the commands iterated out of it."""
+
+            def __init__(self, queue):
+                self.queue = queue
+
+            def __len__(self):
+                return len(self.queue)
+
+            def __iter__(self):
+                nonlocal inspected
+                for cmd in self.queue:
+                    inspected += 1
+                    yield cmd
+
+        def counting(queue, block, *limit):
+            return count(CountedQueue(queue), block, *limit)
+
+        monkeypatch.setattr(MemoryController, "_count_matching_reps",
+                            staticmethod(counting))
+        kwargs = dict(dual_row_buffer=False, composite=False,
+                      dtype_bytes=GPT3_7B.dtype_bytes)
+        latency, fast = measure_gemv_latency(logit, fast=True, **kwargs)
+        monkeypatch.undo()
+        slow_latency, slow = measure_gemv_latency(logit, **kwargs)
+        length = fast.replay.stepped + fast.replay.replayed
+        assert length == 20482
+        assert fast.replay.replayed > 0
+        assert latency == slow_latency == slow.finish_time
+        assert_equivalent(slow, fast)
+        assert fast.counter_view() == slow.counter_view()
+        assert inspected <= 2 * length
+
+
+class TestRefreshPhases:
+    """Fine-grained GEMVs of random shape meet the refresh deadline at
+    arbitrary offsets into their wave trains."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(rows=st.integers(1, 2048), cols=st.integers(1, 1024),
+           dual=st.booleans())
+    def test_random_fine_grained_ops_match(self, rows, cols, dual):
+        slow, fast = drain_both(fine_stream(rows, cols), dual=dual,
+                                header_aware_refresh=False)
         assert_equivalent(slow, fast)
