@@ -1,19 +1,17 @@
 #!/usr/bin/env python3
-"""Fidelity audit: refute the analytic tier, then let it earn "auto".
+"""Fidelity audit: try to refute the analytic tier against the cycle tier.
 
 Runs the cross-fidelity refutation harness over the hardware-region x
 sequence-length grid (``repro.counters.refute``): every cell predicts
 the typed counter vector arithmetically from the shared GEMV geometry,
 measures the same counters from the command-level simulation, and diffs
 the two against per-counter tolerance bounds.  The per-counter drift
-table below is the audit; the emitted
-:class:`~repro.counters.profile.FidelityProfile` is the verdict — the
-payload ``fidelity="auto"`` consults to run analytic where the model
-survived and cycle where it was refuted.
+table below is the audit; a bound violation would refute the analytic
+tier in that region.
 
-The second half closes the loop: the same serving scenario runs once at
-``fidelity="cycle"`` and once at ``fidelity="auto"`` carrying the fresh
-profile, with typed counters attached to both.
+The second half runs the same serving scenario once at
+``fidelity="analytic"`` and once at ``fidelity="cycle"``, with typed
+counters attached to both, and compares them side by side.
 
 Run:  python examples/fidelity_audit.py
 """
@@ -47,40 +45,33 @@ def main() -> None:
     verdict = "all regions within bounds" if report["passed"] else \
         f"{len(report['violations'])} violation(s)"
     print(f"\nrefutation verdict: {verdict}")
-    print(f"emitted profile: {report['profile']}")
 
     traffic = TrafficSpec(kind="poisson", max_requests=8,
                           horizon_cycles=5e6, seed=3)
-    cycle = Session(ScenarioSpec(model="gpt3-7b", fidelity="cycle",
-                                 counters="typed", traffic=traffic)).run()
-    auto = Session(ScenarioSpec(
-        model="gpt3-7b", fidelity="auto", counters="typed",
-        fidelity_options={"profile": report["profile"]},
-        traffic=traffic)).run()
+    analytic, cycle = (
+        Session(ScenarioSpec(model="gpt3-7b", fidelity=fidelity,
+                             counters="typed", traffic=traffic)).run()
+        for fidelity in ("analytic", "cycle"))
 
     rows = [
-        ("resolved fidelity", cycle.fidelity, auto.fidelity),
         ("TTFT p50 (ms)",
-         round(cycle.latency_ms.get("ttft_p50_ms", 0.0), 2),
-         round(auto.latency_ms.get("ttft_p50_ms", 0.0), 2)),
+         round(analytic.latency_ms.get("ttft_p50_ms", 0.0), 2),
+         round(cycle.latency_ms.get("ttft_p50_ms", 0.0), 2)),
         ("end-to-end p99 (ms)",
-         round(cycle.latency_ms.get("end_to_end_p99_ms", 0.0), 2),
-         round(auto.latency_ms.get("end_to_end_p99_ms", 0.0), 2)),
-        ("tokens/s", round(cycle.tokens_per_second),
-         round(auto.tokens_per_second)),
-        ("GEMV issue slots", round(cycle.counters.get(
-            "pim.gemv_issue_slots")), round(auto.counters.get(
-                "pim.gemv_issue_slots"))),
-        ("KV page churn", round(cycle.counters.get("kv.page_churn")),
-         round(auto.counters.get("kv.page_churn"))),
+         round(analytic.latency_ms.get("end_to_end_p99_ms", 0.0), 2),
+         round(cycle.latency_ms.get("end_to_end_p99_ms", 0.0), 2)),
+        ("tokens/s", round(analytic.tokens_per_second),
+         round(cycle.tokens_per_second)),
+        ("GEMV issue slots",
+         round(analytic.counters.get("pim.gemv_issue_slots")),
+         round(cycle.counters.get("pim.gemv_issue_slots"))),
+        ("KV page churn", round(analytic.counters.get("kv.page_churn")),
+         round(cycle.counters.get("kv.page_churn"))),
     ]
     print()
     print(format_table(
-        ["metric", "fidelity=cycle", "fidelity=auto (profiled)"],
-        rows, title="profile-guided fidelity on one serving scenario"))
-    print("\nWhere the refutation grid could not refute the analytic")
-    print("tier, fidelity='auto' keeps its speed; a refuted region")
-    print("would have been pinned to cycle fidelity in the profile.")
+        ["metric", "fidelity=analytic", "fidelity=cycle"],
+        rows, title="both fidelity tiers on one serving scenario"))
 
 
 if __name__ == "__main__":

@@ -18,11 +18,10 @@ Seven subcommands share one scenario vocabulary:
   (:mod:`repro.counters.refute`): sweep a scenario grid across both
   fidelity tiers, diff their typed counter vectors against per-counter
   tolerance bounds and print the worst-offending cells (the CI
-  ``refute-smoke`` gate); the emitted profile drives
-  ``fidelity="auto"``;
+  ``refute-smoke`` gate);
 * ``components`` — list the :mod:`repro.registry` component table
   (systems, schedulers, traffic models, KV allocators, fidelity
-  engines, fault plans, counter collectors), including anything user
+  engines, fault plans, fleet routers), including anything user
   code registered before invoking the CLI programmatically.
 
 ``--system`` and ``--scheduler`` accept any *registered* name — not
@@ -39,7 +38,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.analysis.report import format_table
 from repro.api.spec import (FIDELITIES, SYSTEMS, ScenarioSpec, ServingSpec,
@@ -70,6 +69,20 @@ def parse_axis(argument: str) -> Dict[str, List[Any]]:
         raise argparse.ArgumentTypeError(
             f"axis {argument!r} needs a name and at least one value")
     return {name.strip(): parsed}
+
+
+def parse_seq_lens(argument: str) -> Tuple[int, ...]:
+    """Parse ``--seq-lens``: a comma-separated list of positive ints."""
+    try:
+        seq_lens = tuple(int(s) for s in argument.split(",") if s.strip())
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"{argument!r} is not a comma-separated list of integers"
+        ) from None
+    if not seq_lens or min(seq_lens) <= 0:
+        raise argparse.ArgumentTypeError(
+            f"{argument!r} needs at least one length, all positive")
+    return seq_lens
 
 
 def _add_scenario_flags(parser: argparse.ArgumentParser) -> None:
@@ -344,18 +357,11 @@ def cmd_refute(args: argparse.Namespace) -> int:
     fidelity tiers (:func:`repro.counters.refute.run_refute`), prints
     the per-counter worst-offending cells and every tolerance-bound
     violation; any violation fails the command — the CI
-    ``refute-smoke`` contract.  The report (``--json``) embeds the
-    :class:`~repro.counters.profile.FidelityProfile` the sweep implies,
-    ready to feed ``fidelity="auto"`` via ``fidelity_options``.
+    ``refute-smoke`` contract.  ``--json`` dumps the full report.
     """
     from repro.counters.refute import run_refute
-    seq_lens = None
-    if args.seq_lens:
-        seq_lens = tuple(int(s) for s in args.seq_lens.split(",")
-                         if s.strip())
-    report = run_refute(model=args.model or "gpt3-7b", seq_lens=seq_lens,
-                        audit_fraction=args.audit_fraction,
-                        seed=args.seed)
+    report = run_refute(model=args.model or "gpt3-7b",
+                        seq_lens=args.seq_lens)
     rows = [(name, f"{entry['drift']:.3f}",
              f"{report['bounds'][name]:.3f}", entry["region"],
              entry["seq_len"], entry["op"])
@@ -373,9 +379,7 @@ def cmd_refute(args: argparse.Namespace) -> int:
                   f"seq_len={violation['seq_len']} {violation['op']}",
                   file=sys.stderr)
         return 1
-    print(f"refute: {len(report['cells'])} cells within bounds; "
-          f"profile default "
-          f"{report['profile'].get('default', 'analytic')}")
+    print(f"refute: {len(report['cells'])} cells within bounds")
     return 0
 
 
@@ -475,20 +479,13 @@ def build_parser() -> argparse.ArgumentParser:
                                help="model registry name "
                                     "(default gpt3-7b)")
     refute_parser.add_argument("--seq-lens", default=None,
-                               dest="seq_lens",
+                               type=parse_seq_lens, dest="seq_lens",
                                help="comma-separated sequence-length "
                                     "grid (default 128,512,1536)")
-    refute_parser.add_argument("--audit-fraction", type=float, default=0.0,
-                               dest="audit_fraction",
-                               help="fraction of analytic regions the "
-                                    "emitted profile re-checks at cycle "
-                                    "fidelity (default 0)")
-    refute_parser.add_argument("--seed", type=int, default=0,
-                               help="seed for the profile's audit draws")
     refute_parser.add_argument("--json", metavar="FILE", default=None,
                                dest="json_path",
                                help="also dump the refutation report "
-                                    "(with its FidelityProfile) as JSON")
+                                    "as JSON")
     refute_parser.set_defaults(handler=cmd_refute)
 
     components_parser = subparsers.add_parser(
@@ -496,7 +493,7 @@ def build_parser() -> argparse.ArgumentParser:
     components_parser.add_argument("--kind", default=None,
                                    help="restrict to one component kind "
                                         "(system/scheduler/traffic/kv/"
-                                        "fidelity/faults/counters)")
+                                        "fidelity/faults/router)")
     components_parser.add_argument("--json", metavar="FILE", default=None,
                                    dest="json_path",
                                    help="also dump the table as JSON")

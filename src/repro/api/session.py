@@ -41,6 +41,7 @@ from typing import (Any, Callable, Dict, Iterable, Iterator, List, Optional,
 
 from repro.api.spec import ScenarioSpec
 from repro.core.config import NeuPimsConfig
+from repro.counters.collect import CounterCollector
 from repro.counters.report import CounterReport
 from repro.core.device import IterationResult, NeuPimsDevice
 from repro.core.estimator import MhaLatencyEstimator
@@ -241,8 +242,8 @@ class Session:
         self.latency_tracker: Optional[LatencyTracker] = None
         #: fault injector from the ``faults`` component (``None`` off)
         self.fault_injector = None
-        #: typed counter collector from the ``counters`` component
-        #: (``None`` for ``counters="none"``, the zero-overhead default)
+        #: typed counter collector for ``counters="typed"`` (``None``
+        #: for ``counters="none"``, the zero-overhead default)
         self.counters = None
         # Every request that ever entered the pool, for build-time KV
         # page-churn accounting (the pool forgets retired requests, and
@@ -288,9 +289,9 @@ class Session:
 
     def _build_device(self) -> Any:
         """Construct the system-under-test through the registry."""
-        # The *declared* fidelity name resolves the factory (so the
-        # profile-guided ``auto`` component sees its ``profile`` option);
-        # ``self.fidelity`` stays the resolved tier for reporting.
+        # The *declared* fidelity name resolves the factory (so a
+        # registered tier receives its own options); ``self.fidelity``
+        # stays the resolved tier for reporting.
         estimator = REGISTRY.create("fidelity", self.spec.fidelity, self,
                                     **self.spec.options_for("fidelity"))
         return REGISTRY.create(
@@ -317,12 +318,10 @@ class Session:
             self.device = self.system.device
         else:
             self.device = self._build_device()
-        self.counters = REGISTRY.create(
-            "counters", self.spec.counters, self,
-            **self.spec.options_for("counters"))
-        if self.counters is not None \
-                and hasattr(self.device, "attach_counters"):
-            self.device.attach_counters()
+        if self.spec.counters == "typed":
+            self.counters = CounterCollector()
+            if hasattr(self.device, "attach_counters"):
+                self.device.attach_counters()
         traffic = self.spec.traffic
         self.workload = REGISTRY.create(
             "traffic", traffic.kind, traffic,

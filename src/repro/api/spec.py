@@ -40,6 +40,9 @@ TRAFFIC_KINDS = ("warmed", "poisson", "replay", "external")
 #: rules); ``"auto"`` resolves to a registered fidelity engine.
 FIDELITIES = ("analytic", "cycle", "auto")
 
+#: The typed-counter settings of :attr:`ScenarioSpec.counters`.
+COUNTER_MODES = ("none", "typed")
+
 
 # ----------------------------------------------------------------------
 # Generic frozen-dataclass <-> dict plumbing.
@@ -264,9 +267,10 @@ _CONFIG_FLAGS = frozenset((
 #: Per-component option-dict fields (stored as canonical frozen pairs).
 _OPTION_FIELDS = ("system_options", "scheduler_options",
                   "traffic_options", "kv_options", "fidelity_options",
-                  "faults_options", "counters_options")
-#: Component-name fields omitted from ``to_dict`` at their defaults so
-#: built-in-only specs keep their pre-registry JSON shape.
+                  "faults_options")
+#: Component-name fields (and ``counters``) omitted from ``to_dict`` at
+#: their defaults so built-in-only specs keep their pre-registry JSON
+#: shape.
 _COMPONENT_DEFAULTS = (("scheduler", "iteration"), ("kv", "paged"),
                        ("faults", "none"), ("counters", "none"))
 #: ServingSpec resilience fields omitted from ``to_dict`` at their
@@ -308,20 +312,21 @@ class ScenarioSpec:
         simulation (memoized per hardware config); ``"auto"`` picks per
         the DESIGN.md §7 rules (cycle for device-level warmed
         measurements on PIM systems, analytic otherwise).
-    scheduler / kv / faults / counters:
+    scheduler / kv / faults:
         Registered component names for the serving scheduler, the
         paged-KV allocator family (``kv`` applies when
-        ``serving.paged_kv`` is set), the fault-injection plan
+        ``serving.paged_kv`` is set) and the fault-injection plan
         (``"none"`` disables injection at zero overhead; ``"seeded"``
-        draws a deterministic plan from ``faults_options["seed"]``)
-        and the typed-counter collector (``"none"`` disables counter
-        collection at zero overhead; ``"typed"`` rolls the
-        :mod:`repro.counters` taxonomy into ``RunResult.counters``).
+        draws a deterministic plan from ``faults_options["seed"]``).
         Like ``system`` and ``traffic.kind``, these resolve through
         :mod:`repro.registry`, so a ``@register("scheduler",
         "my-policy")`` class sweeps like any built-in.
+    counters:
+        One of :data:`COUNTER_MODES`: ``"none"`` disables counter
+        collection at zero overhead; ``"typed"`` rolls the
+        :mod:`repro.counters` taxonomy into ``RunResult.counters``.
     system_options / scheduler_options / traffic_options / kv_options /
-    fidelity_options / faults_options / counters_options:
+    fidelity_options / faults_options:
         Per-component option dicts forwarded to the factories at
         materialization.  Accepted as plain dicts, stored as canonical
         frozen pairs (specs stay hashable/picklable), and JSON
@@ -349,15 +354,13 @@ class ScenarioSpec:
     kv_options: FrozenOptions = ()
     fidelity_options: FrozenOptions = ()
     faults_options: FrozenOptions = ()
-    counters_options: FrozenOptions = ()
     label: Optional[str] = None
 
     def __post_init__(self) -> None:
         # Component names normalize to lower case (registry lookups are
         # case-insensitive) so the downstream comparisons — energy
         # anchors, feature forcing, fidelity rules — see one spelling.
-        for name in ("system", "scheduler", "kv", "fidelity", "faults",
-                     "counters"):
+        for name in ("system", "scheduler", "kv", "fidelity", "faults"):
             value = getattr(self, name)
             if not isinstance(value, str):
                 raise ValueError(f"{name} must be a component name "
@@ -367,7 +370,11 @@ class ScenarioSpec:
         get_component("scheduler", self.scheduler)
         get_component("kv", self.kv)
         get_component("faults", self.faults)
-        get_component("counters", self.counters)
+        if isinstance(self.counters, str):
+            object.__setattr__(self, "counters", self.counters.lower())
+        if self.counters not in COUNTER_MODES:
+            raise ValueError(f"counters must be one of "
+                             f"{list(COUNTER_MODES)}, got {self.counters!r}")
         if self.fidelity != "auto":
             get_component("fidelity", self.fidelity)
         for name in _OPTION_FIELDS:
@@ -438,23 +445,14 @@ class ScenarioSpec:
         return thaw_options(getattr(self, field_name))
 
     def resolve_fidelity(self) -> str:
-        """``"analytic"`` or ``"cycle"`` per the DESIGN.md §7 rules.
+        """``"analytic"`` or ``"cycle"`` per the DESIGN.md §7 rule.
 
-        With a refutation-derived profile shipped in
-        ``fidelity_options["profile"]``, ``"auto"`` becomes
-        profile-guided: the :class:`~repro.counters.profile.
-        FidelityProfile` picks the tier for this spec's scenario region
-        (deterministic, including its seeded audit promotions).
-        Without a profile, the static rules apply: cycle for
+        ``"auto"`` is a pure function of the spec: cycle for
         device-level warmed measurements on PIM systems, analytic
-        otherwise.
+        otherwise.  Explicit tiers pass through unchanged.
         """
         if self.fidelity != "auto":
             return self.fidelity
-        payload = self.options_for("fidelity").get("profile")
-        if payload is not None:
-            from repro.counters.profile import FidelityProfile
-            return FidelityProfile.from_dict(payload).resolve(self)
         if (self.system in ("neupims", "npu-pim") and self.pp is None
                 and self.traffic.kind == "warmed"):
             return "cycle"

@@ -1,34 +1,32 @@
-"""Cross-fidelity typed counters, refutation, and profile-guided fidelity.
+"""Cross-fidelity typed counters and the refutation harness.
 
-The eighth registry kind (``counters``): typed hardware counter vectors
-emitted by both fidelity tiers over the same taxonomy
-(:data:`~repro.counters.report.COUNTER_NAMES`), so the tiers can be
-*diffed* rather than trusted.
+Typed hardware counter vectors emitted by both fidelity tiers over the
+same taxonomy (:data:`~repro.counters.report.COUNTER_NAMES`), so the
+tiers can be *diffed* rather than trusted.  A scenario opts in with the
+spec field ``counters="typed"``.
 
 * :mod:`repro.counters.report` — the taxonomy, the frozen
   :class:`CounterReport` rollup and its drift arithmetic;
 * :mod:`repro.counters.collect` — the run-time
-  :class:`CounterCollector` (the ``typed`` registry component) and the
-  :func:`counting_executor` session wrapper;
+  :class:`CounterCollector` (built by the session for
+  ``counters="typed"``) and the :func:`counting_executor` session
+  wrapper;
 * :mod:`repro.counters.model` — the analytic-tier
   :class:`DeviceCounterModel` annotating iteration results with their
   predicted counter vectors;
-* :mod:`repro.counters.profile` — :class:`FidelityProfile`, the
-  profile-guided ``fidelity="auto"`` decision store built from
-  refutation runs;
 * :mod:`repro.counters.refute` — the cross-tier refutation harness
-  (``python -m repro refute``), imported lazily as a submodule because
-  it drives the full :mod:`repro.api` layer.
+  (``python -m repro refute``); its device and command-level imports
+  happen inside :func:`~repro.counters.refute.run_refute`.
 
-Discipline matches the faults layer: the default component is ``none``
-(factory returns ``None``), every producer guards on a single
-``is not None`` branch, and the disabled path is gated bit-identical
-and <5% overhead by the perf benchmark suite.
+Discipline matches the faults layer: the default ``counters="none"``
+builds no collector, every producer guards on a single ``is not None``
+branch, and the disabled path is gated bit-identical and <5% overhead
+by the perf benchmark suite.
 """
 
 from repro.counters.collect import CounterCollector, counting_executor
 from repro.counters.model import DeviceCounterModel
-from repro.counters.profile import FidelityProfile, region_key, spec_region
+from repro.counters.refute import region_key
 from repro.counters.report import COUNTER_NAMES, CounterReport
 
 __all__ = [
@@ -36,8 +34,6 @@ __all__ = [
     "CounterCollector",
     "CounterReport",
     "DeviceCounterModel",
-    "FidelityProfile",
     "counting_executor",
     "region_key",
-    "spec_region",
 ]

@@ -20,9 +20,7 @@ Bounds are deliberately not all zero: refresh ``REF`` commands and
 activation replays are *excluded* from the analytic C/A-bus and
 row-activation predictions — that exclusion is the honest drift the
 harness quantifies, and the bounds declare how much of it the analytic
-tier is allowed before a region is demoted to cycle fidelity.  The
-resulting :class:`~repro.counters.profile.FidelityProfile` is what
-``fidelity="auto"`` consults — the profile-guided-optimization loop.
+tier is allowed before the report counts a violation.
 
 Exposed on the CLI as ``python -m repro refute``; the CI
 ``refute-smoke`` job runs the default grid on every push.
@@ -32,15 +30,22 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.counters.profile import FidelityProfile, region_key
 from repro.counters.report import CounterReport
 
 __all__ = ["DEFAULT_BOUNDS", "DEFAULT_SEQ_LENS", "REGIONS",
-           "predict_gemv_counters", "run_refute"]
+           "predict_gemv_counters", "region_key", "run_refute"]
 
 #: Hardware regions swept: (composite ISA, dual row buffer).
 REGIONS: Tuple[Tuple[bool, bool], ...] = (
     (True, True), (True, False), (False, True), (False, False))
+
+
+def region_key(composite: bool, dual_row_buffer: bool) -> str:
+    """Canonical region name for one PIM command-encoding configuration."""
+    encoding = "composite" if composite else "fine"
+    buffer = "dual" if dual_row_buffer else "blocked"
+    return f"{encoding}:{buffer}"
+
 
 #: Default sequence-length grid — spans single-wave attends through
 #: multi-thousand-wave logits without making the smoke run slow.
@@ -114,17 +119,14 @@ def predict_gemv_counters(op, org, composite: bool, dtype_bytes: int,
 
 def run_refute(model: str = "gpt3-7b",
                seq_lens: Optional[Tuple[int, ...]] = None,
-               bounds: Optional[Dict[str, float]] = None,
-               audit_fraction: float = 0.0,
-               seed: int = 0) -> Dict[str, Any]:
+               bounds: Optional[Dict[str, float]] = None
+               ) -> Dict[str, Any]:
     """Sweep the refutation grid; returns a JSON-ready report.
 
     For every (region, seq_len) cell, refutes both MHA GEMVs (logit and
     attend) of the model shard.  The report carries per-cell
     predicted/measured/drift triples, all bound violations with their
-    offending cell, the worst-offending cell per counter, and the
-    :class:`~repro.counters.profile.FidelityProfile` the sweep implies
-    (violated regions pinned to cycle fidelity).
+    offending cell, and the worst-offending cell per counter.
     """
     from repro.core.estimator import analytic_latencies
     from repro.dram.timing import HbmOrganization, PimTiming, TimingParams
@@ -194,7 +196,7 @@ def run_refute(model: str = "gpt3-7b",
                             "region": region, "seq_len": seq_len,
                             "op": op_name, "counter": name,
                             "drift": error, "bound": bounds[name]})
-    report: Dict[str, Any] = {
+    return {
         "model": spec.name,
         "seq_lens": list(seq_lens),
         "bounds": dict(sorted(bounds.items())),
@@ -203,6 +205,3 @@ def run_refute(model: str = "gpt3-7b",
         "worst": {name: worst[name] for name in sorted(worst)},
         "passed": not violations,
     }
-    report["profile"] = FidelityProfile.from_refutation(
-        report, audit_fraction=audit_fraction, seed=seed).to_dict()
-    return report

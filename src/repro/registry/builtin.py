@@ -36,11 +36,6 @@ Factory calling conventions (the registration contract, DESIGN.md §8):
 * ``router``: ``factory(num_nodes, **options) -> RoutingPolicy`` — the
   fleet dispatch policy of the cluster tier (:mod:`repro.cluster`);
   ``num_nodes`` is the fleet size.
-* ``counters``: ``factory(session, **options) -> CounterCollector or
-  None`` — ``None`` (the ``"none"`` builtin) means no counter
-  collection and every producer skips its charging branch entirely,
-  the same zero-overhead-when-disabled discipline as the faults and
-  event layers.
 """
 
 from __future__ import annotations
@@ -82,7 +77,6 @@ def register_builtins(registry: ComponentRegistry) -> None:
     _register_fidelity(registry)
     _register_faults(registry)
     _register_routers(registry)
-    _register_counters(registry)
 
 
 # ----------------------------------------------------------------------
@@ -271,10 +265,7 @@ def _register_fidelity(registry: ComponentRegistry) -> None:
         return session.calibrated_estimator()
 
     def auto(session, **options):
-        """Profile-guided tier choice (refutation-backed PGO loop)."""
-        # The "profile" payload is consumed by the spec's
-        # resolve_fidelity(); everything else is unknown.
-        options.pop("profile", None)
+        """Static tier choice (ScenarioSpec.resolve_fidelity)."""
         if options:
             raise ValueError(f"unknown auto fidelity option(s) "
                              f"{sorted(options)}")
@@ -288,10 +279,8 @@ def _register_fidelity(registry: ComponentRegistry) -> None:
                       description="command-level calibrated constants "
                                   "(memoized per config)")
     registry.register("fidelity", "auto", auto,
-                      option_names=("profile",),
-                      description="profile-guided analytic/cycle choice "
-                                  "per scenario region "
-                                  "(repro.counters.profile)")
+                      description="cycle for warmed PIM device runs, "
+                                  "analytic otherwise")
 
 
 # ----------------------------------------------------------------------
@@ -321,33 +310,6 @@ def _register_faults(registry: ComponentRegistry) -> None:
                       description="seeded deterministic fault plan "
                                   "(channel degrade/stall, KV windows, "
                                   "request aborts)")
-
-
-# ----------------------------------------------------------------------
-# Typed counters.
-# ----------------------------------------------------------------------
-
-def _register_counters(registry: ComponentRegistry) -> None:
-    def none(session, **options):
-        """No counter collection — the zero-overhead default."""
-        if options:
-            raise ValueError(f"unknown counters option(s) "
-                             f"{sorted(options)} for 'none'")
-        return None
-
-    def typed(session, **options):
-        """Typed counter vectors (repro.counters taxonomy)."""
-        from repro.counters.collect import CounterCollector
-        if options:
-            raise ValueError(f"unknown typed counters option(s) "
-                             f"{sorted(options)}")
-        return CounterCollector()
-
-    registry.register("counters", "none", none,
-                      description="no counter collection (default)")
-    registry.register("counters", "typed", typed,
-                      description="typed hardware counter vectors "
-                                  "rolled into RunResult.counters")
 
 
 # ----------------------------------------------------------------------

@@ -38,7 +38,7 @@ from typing import (Any, Callable, Dict, Iterable, List, Mapping, Optional,
 
 #: The component kinds a scenario is assembled from.
 KINDS = ("system", "scheduler", "traffic", "kv", "fidelity", "faults",
-         "router", "counters")
+         "router")
 
 #: Canonical frozen encoding of an option dict: sorted ``(key, value)``
 #: pairs, with nested mappings/sequences frozen recursively.

@@ -122,6 +122,24 @@ class TestCompare:
         assert "--systems" in capsys.readouterr().err
 
 
+class TestRefute:
+    @pytest.mark.parametrize("seq_lens", [",", "abc", "0,128"])
+    def test_bad_seq_lens_name_the_flag(self, seq_lens, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["refute", "--seq-lens", seq_lens])
+        assert exc.value.code == 2
+        assert "--seq-lens" in capsys.readouterr().err
+
+    def test_seq_lens_select_the_grid(self, tmp_path, capsys):
+        out = tmp_path / "refute.json"
+        assert main(["refute", "--seq-lens", "128,", "--json",
+                     str(out)]) == 0
+        report = read_json(out)
+        assert report["seq_lens"] == [128]
+        assert "profile" not in report
+        assert "8 cells within bounds" in capsys.readouterr().out
+
+
 class TestBuildSpec:
     def test_flags_override_spec_file(self, tmp_path):
         from repro.api import ScenarioSpec
@@ -195,7 +213,7 @@ class TestComponents:
         payload = read_json(out)
         kinds = {entry["kind"] for entry in payload}
         assert kinds == {"system", "scheduler", "traffic", "kv",
-                         "fidelity", "faults", "router", "counters"}
+                         "fidelity", "faults", "router"}
 
     def test_kind_filter_and_bad_kind(self, capsys):
         assert main(["components", "--kind", "scheduler"]) == 0

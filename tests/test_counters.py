@@ -1,20 +1,18 @@
-"""The cross-fidelity counters subsystem: taxonomy, conservation, PGO.
+"""The cross-fidelity counters subsystem: taxonomy, conservation, refute.
 
-Covers the eighth registry kind end to end:
+Covers the ``counters`` spec field end to end:
 
 * the frozen :class:`~repro.counters.report.CounterReport` (canonical
   pairs, merge/drift arithmetic, JSON round trips);
-* the spec-layer satellite — ``counters``/``counters_options`` fields
-  with frozen-canonical-pairs discipline and the pre-counters JSON
-  shape of built-in-only payloads;
+* the spec-layer boundary — the ``counters`` field, its validation and
+  the pre-counters JSON shape of built-in-only payloads;
 * conservation invariants — identical :class:`CounterReport`\\ s across
   ``drain_fast`` on/off, grouping ``auto``/``off``, stream vs batch
   consumption, and the 1-node fleet rollup vs a plain ``Session``;
 * executor-wrapper composition — the counting wrapper and a
   latency-scaling degrade wrapper commute on all simulated metrics;
-* the refutation harness and the :class:`FidelityProfile` behind
-  ``fidelity="auto"`` (deterministic audits, spec resolution, and the
-  analytic-where-proven / cycle-where-refuted speed contract).
+* the refutation harness, and the fidelity tiers it checks (analytic
+  vs cycle serving percentiles, the static ``fidelity="auto"`` rule).
 """
 
 import json
@@ -25,8 +23,7 @@ import pytest
 from repro.api.session import RunResult, Session
 from repro.api.spec import ScenarioSpec, TrafficSpec
 from repro.counters import (COUNTER_NAMES, CounterCollector, CounterReport,
-                            FidelityProfile, counting_executor, region_key,
-                            spec_region)
+                            counting_executor, region_key)
 from repro.counters.refute import (DEFAULT_BOUNDS, REGIONS, fine_wave_pitch,
                                    predict_gemv_counters, run_refute)
 
@@ -100,7 +97,7 @@ class TestCounterCollector:
 
 
 # ----------------------------------------------------------------------
-# Spec-layer satellite.
+# Spec-layer boundary.
 # ----------------------------------------------------------------------
 
 class TestSpecCountersFields:
@@ -118,14 +115,16 @@ class TestSpecCountersFields:
             json.loads(json.dumps(payload))) == spec
 
     def test_options_freeze_canonically(self):
-        spec = ScenarioSpec(fidelity="auto",
-                            fidelity_options={"profile": {"regions": {}}})
+        spec = ScenarioSpec(faults="seeded",
+                            faults_options={"seed": 3, "aborts": 1})
         assert spec == ScenarioSpec.from_dict(spec.to_dict())
         assert hash(spec) == hash(ScenarioSpec.from_dict(spec.to_dict()))
 
     def test_unknown_counters_component_rejected(self):
         with pytest.raises(ValueError, match="counters"):
             ScenarioSpec(counters="nope")
+        with pytest.raises(ValueError, match="counters"):
+            ScenarioSpec(counters=None)
 
     def test_unknown_key_regression(self):
         payload = ScenarioSpec().to_dict()
@@ -137,14 +136,19 @@ class TestSpecCountersFields:
         with pytest.raises(ValueError, match="pp"):
             ScenarioSpec(counters="typed", pp=2)
 
-    def test_component_factories(self):
-        session = Session(ScenarioSpec())
-        from repro.registry import REGISTRY
-        assert REGISTRY.create("counters", "none", session) is None
-        created = REGISTRY.create("counters", "typed", session)
-        assert isinstance(created, CounterCollector)
-        with pytest.raises(ValueError, match="unknown"):
-            REGISTRY.create("counters", "typed", session, bogus=1)
+    def test_materialize_builds_collector(self):
+        external = TrafficSpec(kind="external")
+        typed = Session(ScenarioSpec(counters="typed", traffic=external))
+        assert isinstance(typed.materialize().counters, CounterCollector)
+        none = Session(ScenarioSpec(counters="none", traffic=external))
+        assert none.materialize().counters is None
+
+    def test_counters_options_key_rejected(self):
+        payload = ScenarioSpec(counters="typed").to_dict()
+        payload["counters_options"] = {}
+        with pytest.raises((TypeError, ValueError),
+                           match="counters_options"):
+            ScenarioSpec.from_dict(payload)
 
 
 # ----------------------------------------------------------------------
@@ -326,18 +330,16 @@ class TestRefute:
         with pytest.raises(ValueError, match="positive"):
             run_refute(seq_lens=(0,))
 
-    def test_violations_pin_regions_to_cycle(self):
-        """A refuted region is demoted to cycle in the emitted profile."""
+    def test_zero_bound_reports_violations(self):
+        """A zero C/A-bus bound refutes the analytic tier somewhere."""
         report = run_refute(seq_lens=(512,),
                             bounds={"dram.ca_busy_cycles": 0.0})
         assert not report["passed"]
         violated = {v["region"] for v in report["violations"]}
         assert violated
-        profile = FidelityProfile.from_dict(report["profile"])
-        for composite, dual in REGIONS:
-            region = region_key(composite, dual)
-            expected = "cycle" if region in violated else "analytic"
-            assert profile.tier_for(region) == expected
+        assert violated <= {region_key(c, d) for c, d in REGIONS}
+        assert {v["counter"] for v in report["violations"]} == \
+            {"dram.ca_busy_cycles"}
 
     def test_predictions_are_pure_arithmetic(self):
         from repro.core.estimator import analytic_latencies
@@ -357,137 +359,65 @@ class TestRefute:
 
 
 # ----------------------------------------------------------------------
-# FidelityProfile and fidelity="auto".
+# The fidelity tiers the harness checks.
 # ----------------------------------------------------------------------
 
-class TestFidelityProfile:
-    def test_round_trip_and_unknown_key(self):
-        profile = FidelityProfile(
-            regions=(("composite:dual", "cycle"),),
-            default="analytic", audit_fraction=0.25, seed=7)
-        payload = json.loads(json.dumps(profile.to_dict()))
-        assert FidelityProfile.from_dict(payload) == profile
-        with pytest.raises(ValueError, match="unknown FidelityProfile"):
-            FidelityProfile.from_dict({"regions": {}, "nope": 1})
+class TestFidelityTiers:
+    def test_auto_static_rule(self):
+        """Cycle only for warmed device-level runs on PIM systems."""
+        warmed = TrafficSpec.warmed(batch_size=4, num_batches=1)
+        assert ScenarioSpec(traffic=warmed).resolve_fidelity() == "cycle"
+        assert ScenarioSpec(system="npu-pim", traffic=warmed) \
+            .resolve_fidelity() == "cycle"
+        # Serving traffic, non-PIM baselines and the pipeline-parallel
+        # engine stay analytic.
+        assert ScenarioSpec(traffic=TrafficSpec(kind="poisson")) \
+            .resolve_fidelity() == "analytic"
+        assert ScenarioSpec(system="npu-only", traffic=warmed) \
+            .resolve_fidelity() == "analytic"
+        assert ScenarioSpec(pp=2, traffic=warmed) \
+            .resolve_fidelity() == "analytic"
 
-    def test_validation(self):
-        with pytest.raises(ValueError, match="tier"):
-            FidelityProfile(regions=(("r", "quantum"),))
-        with pytest.raises(ValueError, match="audit_fraction"):
-            FidelityProfile(audit_fraction=1.5)
-
-    def test_audit_is_deterministic_and_seeded(self):
-        profile = FidelityProfile(audit_fraction=0.5, seed=1)
-        tokens = [f"scenario-{i}" for i in range(200)]
-        first = [profile.decide("composite:dual", t) for t in tokens]
-        assert first == [profile.decide("composite:dual", t)
-                         for t in tokens]
-        audited = first.count("cycle")
-        assert 0 < audited < len(tokens)
-        other = FidelityProfile(audit_fraction=0.5, seed=2)
-        assert first != [other.decide("composite:dual", t)
-                         for t in tokens]
-
-    def test_resolve_honors_spec_constraints(self):
-        cycle_everywhere = FidelityProfile(default="cycle")
-        spec = ScenarioSpec(model="gpt3-7b")
-        assert spec_region(spec) == "composite:dual"
-        assert cycle_everywhere.resolve(spec) == "cycle"
-        # Non-PIM baselines and pipeline-parallel engines stay analytic.
-        assert cycle_everywhere.resolve(
-            ScenarioSpec(system="npu-only")) == "analytic"
-        assert cycle_everywhere.resolve(
-            ScenarioSpec(pp=2)) == "analytic"
-
-    def test_auto_fidelity_resolves_through_profile(self):
-        profile = FidelityProfile(
-            regions=(("composite:dual", "cycle"),)).to_dict()
-        spec = ScenarioSpec(model="gpt3-7b", fidelity="auto",
-                            fidelity_options={"profile": profile})
-        assert spec.resolve_fidelity() == "cycle"
-        session = Session(spec)
-        assert session.fidelity == "cycle"
-        assert session.run().fidelity == "cycle"
-        # The blocked-buffer region is not pinned, so it runs analytic.
-        blocked = ScenarioSpec(model="gpt3-7b", system="npu-pim",
-                               fidelity="auto",
-                               fidelity_options={"profile": profile})
-        assert blocked.resolve_fidelity() == "analytic"
-
-    def test_auto_profile_pickles_through_parallel_runner(self):
-        from repro.api.session import run_scenarios
-        profile = run_refute(seq_lens=(128,))["profile"]
-        specs = [ScenarioSpec(model="gpt3-7b", fidelity="auto",
-                              fidelity_options={"profile": profile}),
-                 ScenarioSpec(model="gpt3-7b", fidelity="cycle")]
-        results = run_scenarios(specs, parallel=2)
-        assert [r.fidelity for r in results] == ["analytic", "cycle"]
-
-    def test_auto_matches_cycle_latency_percentiles(self):
-        """The accuracy half of the PGO payoff: near-cycle percentiles.
-
-        The default grid's profile keeps every region analytic; the
-        resulting sweep must reproduce the cycle tier's serving latency
-        percentiles within the refutation-backed tolerance.
-        """
-        profile = FidelityProfile().to_dict()  # all-analytic
-
-        def sweep(fidelity, options):
+    def test_analytic_matches_cycle_latency_percentiles(self):
+        """Serving latency percentiles agree across the two tiers."""
+        def sweep(fidelity):
             return [
                 Session(ScenarioSpec(
                     model="gpt3-7b", fidelity=fidelity,
-                    fidelity_options=options,
                     traffic=TrafficSpec(kind="poisson", max_requests=6,
                                         horizon_cycles=4e6,
                                         seed=seed))).run()
                 for seed in (1, 2, 3)
             ]
 
-        cycle_results = sweep("cycle", None)
-        auto_results = sweep("auto", {"profile": profile})
-        assert all(r.fidelity == "analytic" for r in auto_results)
+        cycle_results = sweep("cycle")
+        analytic_results = sweep("analytic")
         percentiles = ("ttft_p50_ms", "tpot_p50_ms", "end_to_end_p50_ms",
                        "end_to_end_p99_ms")
-        for auto, cycle in zip(auto_results, cycle_results):
+        for analytic, cycle in zip(analytic_results, cycle_results):
             assert set(percentiles) <= set(cycle.latency_ms)
             for key in percentiles:
-                assert auto.latency_ms[key] == pytest.approx(
+                assert analytic.latency_ms[key] == pytest.approx(
                     cycle.latency_ms[key], rel=0.15)
 
-    def test_auto_is_measurably_faster_than_all_cycle(self):
-        """The speed half: auto skips the cycle tier's calibration.
-
-        What the profile buys is the per-hardware-config command-level
-        calibration replay the cycle tier pays on every fresh perf
-        cache (every sweep worker, every new config).  Best-of-3 minima
-        over 20 cold materializations keep the ratio robust to
-        shared-runner noise; the margin is ~3x locally, so the >1.5x
-        gate has headroom.
-        """
-        import time
-
+    def test_auto_skips_calibration_on_external_traffic(self, monkeypatch):
+        """``auto`` on streaming traffic never replays command streams."""
+        import repro.perf.calibration as calibration
         from repro.perf import invalidate
-        profile = FidelityProfile().to_dict()
-        auto_spec = ScenarioSpec(
-            model="gpt3-7b", fidelity="auto",
-            fidelity_options={"profile": profile},
-            traffic=TrafficSpec(kind="external"))
-        cycle_spec = ScenarioSpec(model="gpt3-7b", fidelity="cycle",
-                                  traffic=TrafficSpec(kind="external"))
 
-        def cold_materializations(spec, reps=20):
-            start = time.perf_counter()
-            for _ in range(reps):
-                invalidate()
-                Session(spec).materialize()
-            return time.perf_counter() - start
+        calls = []
+        calibrate = calibration.cached_calibrate
 
-        cold_materializations(cycle_spec, 2)  # warm both code paths
-        cold_materializations(auto_spec, 2)
-        cycle_wall = min(cold_materializations(cycle_spec)
-                         for _ in range(3))
-        auto_wall = min(cold_materializations(auto_spec)
-                        for _ in range(3))
-        assert cycle_wall > auto_wall * 1.5, \
-            f"auto ({auto_wall:.3f}s) not measurably faster than " \
-            f"all-cycle ({cycle_wall:.3f}s)"
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return calibrate(*args, **kwargs)
+
+        invalidate()
+        monkeypatch.setattr(calibration, "cached_calibrate", counting)
+        external = TrafficSpec(kind="external")
+        Session(ScenarioSpec(model="gpt3-7b", fidelity="auto",
+                             traffic=external)).materialize()
+        assert calls == []
+        Session(ScenarioSpec(model="gpt3-7b", fidelity="cycle",
+                             traffic=external)).materialize()
+        assert len(calls) >= 1
