@@ -8,10 +8,7 @@ see them) and records the headline numbers in ``benchmark.extra_info`` so
 
 from __future__ import annotations
 
-import gc
-import multiprocessing
-import os
-from typing import Callable, Dict, List, Sequence, Tuple
+from typing import Dict
 
 from repro.core.system import NeuPimsSystem, ParallelismScheme
 from repro.model.spec import ModelSpec
@@ -34,93 +31,3 @@ def record(benchmark, values: Dict[str, float]) -> None:
     """Attach experiment outputs to the benchmark JSON."""
     for key, value in values.items():
         benchmark.extra_info[key] = value
-
-
-#: Seconds a co-scheduled child may take to start or finish before the
-#: measurement is abandoned (a crashed arm must fail the gate, not hang).
-ARM_TIMEOUT_S = 600.0
-
-
-def _alternate(arms: Sequence[Callable[[], float]],
-               runs: int) -> List[float]:
-    """Call the arms in turn ``runs`` times; total seconds per arm.
-
-    Each call starts from a collected heap, so an arm never pays for
-    the garbage the previous call left behind.
-    """
-    totals = [0.0] * len(arms)
-    for _ in range(runs):
-        for index, arm in enumerate(arms):
-            gc.collect()
-            totals[index] += arm()
-    return totals
-
-
-def _run_child(arms: Sequence[Callable[[], float]], runs: int, core: int,
-               barrier, conn) -> None:
-    """Child side of :func:`co_scheduled_seconds`: pin, warm, time, report."""
-    try:
-        os.sched_setaffinity(0, {core})
-        # The test process's inherited heap is neither arm's cost: keep
-        # the collector from traversing it.
-        gc.freeze()
-        for arm in arms:
-            arm()
-        barrier.wait(timeout=ARM_TIMEOUT_S)
-        conn.send(_alternate(arms, runs))
-    except BaseException as exc:  # reported to the parent, which raises
-        barrier.abort()  # release the other child instead of letting it wait
-        conn.send(f"{type(exc).__name__}: {exc}")
-    finally:
-        conn.close()
-
-
-def co_scheduled_seconds(arm_a: Callable[[], float],
-                         arm_b: Callable[[], float],
-                         runs: int) -> Tuple[float, float]:
-    """Total seconds of ``2 * runs`` calls of each arm, timed side by side.
-
-    Each arm performs one unit of work and returns the CPU seconds of
-    the part it measures (``time.process_time`` deltas).  On a shared
-    host the speed of one core drifts by tens of percent within a
-    second, more than the 5% budgets the overhead gates enforce, so
-    back-to-back samples of the two arms are not comparable.  Here two
-    forked processes pinned to the same core each call the arms in
-    turn ``runs`` times, in opposite orders: the kernel interleaves the
-    processes in slices of a few milliseconds, so whenever one runs arm
-    A the other mostly runs arm B, both arms see the same drift, both
-    processes finish together, and each process's CPU time counts only
-    its own work.  Without ``os.sched_setaffinity`` (non-Linux hosts)
-    the arms alternate in this process instead.  The caller should have
-    run each arm once already, so the children start from warm caches.
-    """
-    if not hasattr(os, "sched_setaffinity"):
-        seconds_a, seconds_b = _alternate((arm_a, arm_b), 2 * runs)
-        return seconds_a, seconds_b
-    context = multiprocessing.get_context("fork")
-    core = min(os.sched_getaffinity(0))
-    barrier = context.Barrier(2)
-    pipes = [context.Pipe(duplex=False) for _ in range(2)]
-    children = [context.Process(target=_run_child,
-                                args=(arms, runs, core, barrier, send))
-                for arms, (_, send) in zip(((arm_a, arm_b), (arm_b, arm_a)),
-                                           pipes)]
-    for child in children:
-        child.start()
-    reports = []
-    try:
-        for receiver, sender in pipes:
-            sender.close()
-            if not receiver.poll(ARM_TIMEOUT_S):
-                raise RuntimeError("co-scheduled child timed out")
-            reports.append(receiver.recv())
-    finally:
-        for child in children:
-            child.join(timeout=ARM_TIMEOUT_S)
-            if child.is_alive():
-                child.terminate()
-    for report in reports:
-        if isinstance(report, str):
-            raise RuntimeError(f"co-scheduled arm failed: {report}")
-    (first_a, first_b), (second_b, second_a) = reports
-    return first_a + second_a, first_b + second_b

@@ -14,24 +14,17 @@ their headline numbers as ``BENCH`` JSON (and ``--benchmark-json``
   generated token and per iteration;
 * the equivalence-class serving engine — a large-batch (1024-request)
   decode run at ``grouping="auto"`` vs ``grouping="off"``, asserting
-  bit-identical records and a >=5x speedup;
+  bit-identical records and a >=5x wall-clock speedup;
 * the observer path — a batch-mode ``Session.run()`` with the event bus
   attached but unsubscribed vs one with the bus detached entirely,
   gating the zero-overhead-when-empty contract at <5% slowdown;
 * the sharded parallel sweep over the extra-ablation grid — serial vs
   1/2/4-worker process pools, with record-for-record identity enforced
   (``ABLATION_WORKERS`` pins a single worker count for CI's matrix).
-
-The gates that compare two serving runs (grouped speedup, idle-bus and
-single-node-router overhead) time both sides co-scheduled on one core
-(:func:`benchmarks.conftest.co_scheduled_seconds`), because back-to-back
-wall-clock samples on a shared host drift by more than their budgets.
 """
 
-import functools
 import json
 import os
-import statistics
 import time
 
 from repro.analysis.ablation import ablation_axes, run_ablation_grid
@@ -49,7 +42,7 @@ from repro.serving.pool import RequestPool
 from repro.serving.scheduler import IterationScheduler
 from repro.serving.trace import ALPACA, SHAREGPT, warmed_batch
 
-from benchmarks.conftest import co_scheduled_seconds, record
+from benchmarks.conftest import record
 
 ORG = HbmOrganization()
 BIG_GEMV = GemvOp(rows=4096, cols=4096, tag="bench")
@@ -58,34 +51,6 @@ BIG_GEMV = GemvOp(rows=4096, cols=4096, tag="bench")
 def emit(name, values):
     """Print one BENCH JSON line (the perf-trajectory seed format)."""
     print(f"\nBENCH {json.dumps({'bench': name, **values}, sort_keys=True)}")
-
-
-@functools.lru_cache(maxsize=None)
-def co_scheduled_speedup(num_requests):
-    """Per-request over grouped time of the serving bench, co-scheduled.
-
-    The median of three :func:`co_scheduled_seconds` trials of
-    ``grouping="off"`` against ``grouping="auto"`` (one run of each per
-    child and trial).  Callers run ``run_serving_bench`` first, so both
-    modes are warm before the children fork.  The grouped-engine gates
-    below all time this same default-path workload, so it is measured
-    once per process.
-    """
-    from repro.api.bench import serving_bench_spec
-    from repro.api.session import Session
-
-    def timed_run(grouping):
-        def arm():
-            session = Session(serving_bench_spec(num_requests, grouping))
-            start = time.process_time()
-            session.run()
-            return time.process_time() - start
-        return arm
-
-    trials = [co_scheduled_seconds(timed_run("off"), timed_run("auto"), 1)
-              for _ in range(3)]
-    return round(statistics.median(off / max(auto, 1e-9)
-                                   for off, auto in trials), 2)
 
 
 def test_stream_build_interning(benchmark):
@@ -244,18 +209,16 @@ def test_grouped_serving_large_batch(benchmark):
     A 1024-request class-friendly decode batch (bucketed lengths — the
     regime the grouped engine targets) runs at both grouping modes;
     ``run_serving_bench`` itself raises if records or aggregates diverge,
-    and the gate requires the group-commit path to be >=5x the
-    per-request path, timed co-scheduled (:func:`co_scheduled_speedup`).
-    Single-threaded, so no core-count gating.
+    and the wall-clock gate requires the group-commit path to be >=5x
+    the per-request path.  Single-threaded, so no core-count gating.
     """
     from repro.api.bench import run_serving_bench
 
     values = run_serving_bench(num_requests=1024, repeats=3)
     assert values["records_identical"]
     assert values["iterations"] > 0 and values["tokens"] > 0
-    values["cosched_speedup"] = co_scheduled_speedup(1024)
-    assert values["cosched_speedup"] >= 5.0, \
-        f"grouped serving only {values['cosched_speedup']}x vs per-request"
+    assert values["speedup"] >= 5.0, \
+        f"grouped serving only {values['speedup']}x vs per-request"
 
     benchmark.pedantic(
         lambda: run_serving_bench(num_requests=64, repeats=1),
@@ -273,44 +236,38 @@ def test_observer_overhead_batch_run(benchmark):
     within 5% of a run with the bus detached from the scheduler
     entirely — i.e. of the pre-redesign serving-bench loop the committed
     baseline anchors.  Per-request mode (``grouping="off"``) maximizes
-    guard-site executions per wall second.  The two sides run
-    co-scheduled on one core (:func:`co_scheduled_seconds`) so host
-    speed drift lands on both; the gate takes the median of three such
-    trials.
+    guard-site executions per wall second; both sides take interleaved
+    best-of-5 minima so the ratio is robust to shared-runner noise.
     """
     from repro.api.bench import serving_bench_spec
     from repro.api.session import Session
 
-    def prepared(detach_bus):
+    def run_once(detach_bus):
         session = Session(serving_bench_spec(512, "off"))
         session.materialize()
         assert session.scheduler.events is session.events
         assert not session.events.active  # no subscribers in batch mode
         if detach_bus:
             session.scheduler.events = None
-        return session
+        start = time.perf_counter()
+        result = session.run()
+        return result, time.perf_counter() - start
 
-    def timed_run(detach_bus):
-        def arm():
-            session = prepared(detach_bus)
-            start = time.process_time()
-            session.run()
-            return time.process_time() - start
-        return arm
+    with_bus = float("inf")
+    without_bus = float("inf")
+    bus_result = bare_result = None
+    for _ in range(5):
+        result, seconds = run_once(detach_bus=True)
+        without_bus = min(without_bus, seconds)
+        bare_result = result
+        result, seconds = run_once(detach_bus=False)
+        with_bus = min(with_bus, seconds)
+        bus_result = result
 
-    bare_result = prepared(detach_bus=True).run()
-    bus_result = prepared(detach_bus=False).run()
     # The idle bus must not change a single simulated number ...
     assert bus_result.to_dict() == bare_result.to_dict()
-
-    runs = 2  # per child: four runs of each side per trial
-    trials = [co_scheduled_seconds(timed_run(True), timed_run(False), runs)
-              for _ in range(3)]
-    without_bus = sum(bare for bare, _ in trials) / (2 * runs * len(trials))
-    with_bus = sum(bus for _, bus in trials) / (2 * runs * len(trials))
-    # ... and may cost at most 5% of the run's CPU time.
-    overhead = statistics.median(bus / max(bare, 1e-9)
-                                 for bare, bus in trials) - 1.0
+    # ... and may cost at most 5% wall clock (the ISSUE gate).
+    overhead = with_bus / max(without_bus, 1e-9) - 1.0
     assert overhead < 0.05, \
         f"idle event bus costs {overhead:.1%} (>5%) on batch run()"
 
@@ -323,7 +280,7 @@ def test_observer_overhead_batch_run(benchmark):
     session.run()
     subscribed = time.perf_counter() - start
 
-    benchmark.pedantic(lambda: prepared(detach_bus=False).run(), rounds=1,
+    benchmark.pedantic(lambda: run_once(detach_bus=False), rounds=1,
                        iterations=1)
     values = {
         "requests": 512,
@@ -398,9 +355,8 @@ def test_faults_disabled_serving_baseline(benchmark):
     default (``faults="none"``, no deadlines/retries/shedding): the
     simulated metrics must stay bit-identical to the committed baseline
     — proving the fault branches never perturb the default path — and
-    the grouped-engine speedup (timed co-scheduled,
-    :func:`co_scheduled_speedup`) must stay within 5% of the baseline
-    anchor (the single-``is not None``-branch overhead budget).
+    the grouped-engine wall-clock speedup must stay within 5% of the
+    baseline anchor (the single-``is not None``-branch overhead budget).
     """
     from repro.api.bench import compare_to_baseline, run_serving_bench
 
@@ -409,10 +365,7 @@ def test_faults_disabled_serving_baseline(benchmark):
     with open(baseline_path) as handle:
         baseline = json.load(handle)
     values = run_serving_bench(num_requests=1024, repeats=3)
-    values["cosched_speedup"] = co_scheduled_speedup(1024)
-    problems = compare_to_baseline(
-        {**values, "speedup": values["cosched_speedup"]}, baseline,
-        tolerance=0.05)
+    problems = compare_to_baseline(values, baseline, tolerance=0.05)
     assert not problems, "; ".join(problems)
 
     benchmark.pedantic(
@@ -429,10 +382,9 @@ def test_counters_disabled_serving_baseline(benchmark):
     (``counters="none"`` — the factory returns ``None`` and every
     producer skips its charging branch): the simulated metrics must
     stay bit-identical to the committed baseline, and the
-    grouped-engine speedup (timed co-scheduled,
-    :func:`co_scheduled_speedup`) must stay within 5% of the baseline
-    anchor — the same single-``is not None``-branch budget the faults
-    layer is held to.
+    grouped-engine wall-clock speedup must stay within 5% of the
+    baseline anchor — the same single-``is not None``-branch budget the
+    faults layer is held to.
     """
     from repro.api.bench import compare_to_baseline, run_serving_bench
     from repro.api.bench import serving_bench_spec
@@ -450,10 +402,7 @@ def test_counters_disabled_serving_baseline(benchmark):
     with open(baseline_path) as handle:
         baseline = json.load(handle)
     values = run_serving_bench(num_requests=1024, repeats=3)
-    values["cosched_speedup"] = co_scheduled_speedup(1024)
-    problems = compare_to_baseline(
-        {**values, "speedup": values["cosched_speedup"]}, baseline,
-        tolerance=0.05)
+    problems = compare_to_baseline(values, baseline, tolerance=0.05)
     assert not problems, "; ".join(problems)
 
     benchmark.pedantic(
@@ -471,9 +420,8 @@ def test_single_node_router_serving_baseline(benchmark):
     schedule: the fleet's node payload must be bit-identical to the
     plain run *and* to the committed simulated-metric baseline (the
     router adds no probes, no executor wrapper, no re-dispatch on the
-    disabled path), and the router wrapper may cost at most 5% over
-    driving the session directly — timed co-scheduled on one core
-    (:func:`co_scheduled_seconds`), median of three trials.
+    disabled path), and the router wrapper may cost at most 5% wall
+    clock over driving the session directly.
     """
     from repro.api.bench import compare_to_baseline, serving_bench_spec
     from repro.api.session import Session
@@ -482,32 +430,22 @@ def test_single_node_router_serving_baseline(benchmark):
     node = serving_bench_spec(1024, "auto")
     fleet = FleetSpec(nodes=(node,), traffic=node.traffic)
 
-    def plain_run():
+    plain_result, plain_seconds = None, float("inf")
+    for _ in range(3):
         session = Session(node)
-        start = time.process_time()
-        session.run()
-        return time.process_time() - start
+        start = time.perf_counter()
+        plain_result = session.run()
+        plain_seconds = min(plain_seconds, time.perf_counter() - start)
+    fleet_result, fleet_seconds = None, float("inf")
+    for _ in range(3):
+        start = time.perf_counter()
+        fleet_result = run_fleet(fleet)
+        fleet_seconds = min(fleet_seconds, time.perf_counter() - start)
 
-    def fleet_run():
-        start = time.process_time()
-        run_fleet(fleet)
-        return time.process_time() - start
-
-    plain_result = Session(node).run()
-    fleet_result = run_fleet(fleet)
     node_result = fleet_result.nodes[0]
     assert node_result.to_dict() == plain_result.to_dict(), \
         "1-node fleet diverged from the plain Session run"
-
-    runs = 8  # per child: sixteen runs of each side per trial
-    trials = [co_scheduled_seconds(plain_run, fleet_run, runs)
-              for _ in range(3)]
-    plain_seconds = sum(plain for plain, _ in trials) / (2 * runs
-                                                          * len(trials))
-    fleet_seconds = sum(fleet for _, fleet in trials) / (2 * runs
-                                                          * len(trials))
-    overhead = statistics.median(fleet / max(plain, 1e-9)
-                                 for plain, fleet in trials) - 1.0
+    overhead = fleet_seconds / max(plain_seconds, 1e-9) - 1.0
     assert overhead < 0.05, \
         f"single-node router overhead {overhead:.1%} exceeds the 5% budget"
 

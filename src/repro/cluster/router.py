@@ -36,9 +36,8 @@ the probe machinery is entirely absent without a fault plan.
 
 from __future__ import annotations
 
-from collections import Counter, deque
+from collections import deque
 from dataclasses import dataclass
-from operator import attrgetter, itemgetter
 from typing import Any, Callable, Deque, Dict, List, Optional, Sequence, Tuple
 
 from repro.api.session import Session, aggregate_resilience
@@ -149,7 +148,7 @@ class Router:
                                    fleet.traffic)
         self.stream = tuple(sorted(
             workload.arrivals,
-            key=attrgetter("arrival_time", "request_id")))
+            key=lambda r: (r.arrival_time, r.request_id)))
         if fleet.fault_seed is not None:
             plan = make_node_fault_plan(fleet.fault_seed, fleet.num_nodes,
                                         **thaw_options(fleet.fault_options))
@@ -504,13 +503,10 @@ class Router:
             # fleet chaos harness pins).  Route the whole stream
             # upfront and let the drain run nodes at full budget; the
             # disabled-cluster path then costs one policy call and one
-            # pool submit per request (`_route` without its load lookup
-            # and its stall/hint upkeep: no node has stepped yet).
+            # pool submit per request.
             healthy = self._healthy()
-            choose = self.policy.choose
-            pools = [handle.pool for handle in self.handles]
             for request in self.stream:
-                pools[choose(request.request_id, healthy, ())].submit(request)
+                self._route(request, request.arrival_time, healthy)
         else:
             last_arrival: Optional[float] = None
             for request in self.stream:
@@ -610,31 +606,54 @@ class Router:
     def _build_result(self) -> FleetResult:
         """Merge per-node results into one :class:`FleetResult`."""
         node_results = tuple(h.session.result() for h in self.handles)
-        statuses: List[Dict[str, Any]] = [
-            {"request_id": record["request_id"], "status": record["status"],
-             "node": node_index}
-            for node_index, result in enumerate(node_results)
-            for record in result.requests]
-        statuses.extend({"request_id": rid, "status": self._outcomes[rid],
-                         "node": -1} for rid in sorted(self._outcomes))
-        if len(node_results) > 1 or self._outcomes:
-            # A single node's records are already in request-id order.
-            statuses.sort(key=itemgetter("request_id"))
+        statuses: List[Dict[str, Any]] = []
         counts = {"completed": 0, "timed_out": 0, "shed": 0, "aborted": 0}
-        for status, tally in Counter(map(itemgetter("status"),
-                                         statuses)).items():
-            counts[status] += tally
+        for node_index, result in enumerate(node_results):
+            for record in result.requests:
+                statuses.append({"request_id": record["request_id"],
+                                 "status": record["status"],
+                                 "node": node_index})
+                counts[record["status"]] += 1
+        for rid in sorted(self._outcomes):
+            status = self._outcomes[rid]
+            statuses.append({"request_id": rid, "status": status,
+                             "node": -1})
+            counts[status] += 1
+        statuses.sort(key=lambda s: s["request_id"])
         ledger = {"requests": len(self.stream), **counts,
                   "failed_over": self._failed_over,
                   "router_shed": len(self._outcomes)}
+        completed = {s["request_id"] for s in statuses
+                     if s["status"] == "completed"}
+        # Merge per-node latency entries, keeping the record from the
+        # node that last ran each request (failed-over requests measure
+        # from their re-dispatch arrival — the restore re-base — not
+        # from the original fleet arrival).  Without failover a request
+        # has at most one entry fleet-wide, so the max-completion merge
+        # reduces to a plain concatenation.
+        best: Dict[int, RequestLatency] = {}
+        for handle in self.handles:
+            tracker = handle.session.latency_tracker
+            if tracker is None:
+                continue
+            for entry in tracker.report().requests:
+                prior = best.get(entry.request_id) \
+                    if self._failed_over else None
+                if prior is None or \
+                        entry.completion_time > prior.completion_time:
+                    best[entry.request_id] = entry
         if len(self.handles) == 1 and not self._failed_over and \
-                counts["completed"] == len(statuses):
-            # One node, nothing failed over, every request completed:
+                all(rid in completed for rid in best):
+            # Single node, nothing failed over, no entry filtered:
             # the merged summary is exactly the node's own (its
             # ``latency_ms`` came from the same tracker report).
             latency_summary = dict(node_results[0].latency_ms)
         else:
-            latency_summary = self._merged_latency(statuses)
+            report = LatencyReport()
+            for rid in sorted(best):
+                if rid in completed:
+                    report.add(best[rid])
+            latency_summary = report.summary()
         total_tokens = sum(r.total_tokens for r in node_results)
         makespan = max((r.total_time_cycles for r in node_results),
                        default=0.0)
@@ -652,32 +671,3 @@ class Router:
             node_log=tuple(self._node_log),
             label=self.fleet.label,
         )
-
-    def _merged_latency(self, statuses: List[Dict[str, Any]]
-                        ) -> Dict[str, float]:
-        """Latency summary over the fleet's completed requests.
-
-        Keeps each request's record from the node that last ran it
-        (failed-over requests measure from their re-dispatch arrival —
-        the restore re-base — not from the original fleet arrival).
-        Without failover a request has at most one entry fleet-wide, so
-        the max-completion merge reduces to a plain concatenation.
-        """
-        completed = {s["request_id"] for s in statuses
-                     if s["status"] == "completed"}
-        best: Dict[int, RequestLatency] = {}
-        for handle in self.handles:
-            tracker = handle.session.latency_tracker
-            if tracker is None:
-                continue
-            for entry in tracker.report().requests:
-                prior = best.get(entry.request_id) \
-                    if self._failed_over else None
-                if prior is None or \
-                        entry.completion_time > prior.completion_time:
-                    best[entry.request_id] = entry
-        report = LatencyReport()
-        for rid in sorted(best):
-            if rid in completed:
-                report.add(best[rid])
-        return report.summary()
