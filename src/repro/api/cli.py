@@ -41,8 +41,8 @@ import sys
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.analysis.report import format_table
-from repro.api.spec import (FIDELITIES, SYSTEMS, ScenarioSpec, ServingSpec,
-                            TrafficSpec)
+from repro.api.spec import (FIDELITIES, GROUPING_MODES, SYSTEMS,
+                            ScenarioSpec, ServingSpec, TrafficSpec)
 
 
 def _parse_axis_value(text: str) -> Any:
@@ -113,7 +113,7 @@ def _add_scenario_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--max-batch-size", type=int, default=None,
                         help="serving-loop batch cap")
     parser.add_argument("--grouping", default=None,
-                        choices=("auto", "on", "off"),
+                        choices=GROUPING_MODES,
                         help="equivalence-class group-commit engine for "
                              "serving runs (default auto)")
     parser.add_argument("--faults", default=None,

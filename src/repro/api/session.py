@@ -329,9 +329,37 @@ class Session:
         if self.workload.streaming:
             self._materialize_serving(self.workload)
         else:
+            self._reject_serving_only_knobs()
             self.batches = [list(batch) for batch in self.workload.batches]
         self._materialized = True
         return self
+
+    def _resilience_policy(self) -> ResiliencePolicy:
+        """The spec's serving resilience knobs as a policy."""
+        serving = self.spec.serving
+        return ResiliencePolicy(
+            deadline_cycles=serving.deadline_cycles,
+            max_retries=serving.max_retries,
+            retry_backoff_cycles=serving.retry_backoff_cycles,
+            shed_wait_cycles=serving.shed_wait_cycles)
+
+    def _reject_serving_only_knobs(self) -> None:
+        """Refuse faults and resilience knobs on a measurement workload.
+
+        Warmed measurement batches never reach the serving scheduler,
+        so a fault plan or a deadline/retry/shed knob would be dropped
+        without a trace.
+        """
+        kind = self.spec.traffic.kind
+        if self.spec.faults != "none":
+            raise ValueError(
+                f"faults={self.spec.faults!r} needs streaming traffic; "
+                f"traffic {kind!r} runs measurement batches")
+        if self._resilience_policy().active:
+            raise ValueError(
+                "serving resilience knobs (deadline_cycles, max_retries, "
+                "shed_wait_cycles) need streaming traffic; "
+                f"traffic {kind!r} runs measurement batches")
 
     def _materialize_serving(self, workload: Workload) -> None:
         """Wire the streaming serving stack (pool/allocators/scheduler)."""
@@ -367,11 +395,7 @@ class Session:
         self.fault_injector = REGISTRY.create(
             "faults", self.spec.faults, serving, channels,
             **self.spec.options_for("faults"))
-        policy = ResiliencePolicy(
-            deadline_cycles=serving.deadline_cycles,
-            max_retries=serving.max_retries,
-            retry_backoff_cycles=serving.retry_backoff_cycles,
-            shed_wait_cycles=serving.shed_wait_cycles)
+        policy = self._resilience_policy()
         if self.fault_injector is not None or policy.active:
             preempting = None
             if self.allocators:
@@ -387,10 +411,6 @@ class Session:
             # restore costs move the latency clock like device cycles.
             inner = resilient_executor(self.resilience, inner)
         if self.executor_wrapper is not None:
-            if serving.grouping == "on":
-                raise ValueError("executor_wrapper needs per-iteration "
-                                 "executor calls; use grouping='auto' or "
-                                 "'off'")
             inner = self.executor_wrapper(inner)
         executor = self.latency_tracker.wrap(inner)
         if self.executor_wrapper is not None:
@@ -421,10 +441,9 @@ class Session:
         """The class-grouped engine for this scenario, if applicable.
 
         ``"auto"`` returns ``None`` for systems without class-plan support
-        (the scheduler then stays on the per-request path); ``"on"``
-        insists and raises instead.  The returned runner feeds the same
-        busy/byte accumulators as the per-request executor wrapper, so
-        aggregates are identical between paths.
+        (the scheduler then stays on the per-request path).  The returned
+        runner feeds the same busy/byte accumulators as the per-request
+        executor wrapper, so aggregates are identical between paths.
         """
         if grouping == "off":
             return None
@@ -447,10 +466,6 @@ class Session:
                 return result.latency
             return GroupedExecutor(device.prepare_class_plan,
                                    run_device_plan)
-        if grouping == "on":
-            raise ValueError(
-                f"system {self.spec.system!r} has no class-grouped engine; "
-                "use grouping='auto' or 'off'")
         return None
 
     def _wrapped_executor(self):

@@ -217,8 +217,8 @@ class ServingSpec:
     load_tracker: bool = True
     max_iterations: int = 1_000_000
     #: equivalence-class group-commit engine: ``"auto"`` groups whenever
-    #: the system under test supports class plans (bit-identical records
-    #: either way), ``"on"`` requires support, ``"off"`` never groups
+    #: the system under test supports class plans, ``"off"`` never
+    #: groups (bit-identical records either way)
     grouping: str = "auto"
     #: per-request deadline in cycles for *running* requests (measured
     #: from arrival, re-based after each retry); ``None`` disables

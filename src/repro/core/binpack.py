@@ -47,8 +47,8 @@ class ChannelLoadTracker:
     placement follow the paper's algorithm (and changes serving numbers
     accordingly); the untracked default is unchanged.
 
-    Pairs well with :func:`repro.perf.memoized_estimator`, which makes the
-    per-request re-estimates O(1) dictionary hits.
+    Per-request re-estimates are O(1) dictionary hits in the estimator's
+    own memo (:meth:`~repro.core.estimator.MhaLatencyEstimator.estimate`).
     """
 
     def __init__(self, estimator: MhaLatencyEstimator,

@@ -34,7 +34,6 @@ from repro.core.binpack import (ChannelLoadTracker, greedy_min_load_assign,
                                 round_robin_assign)
 from repro.core.config import NeuPimsConfig
 from repro.core.estimator import MhaLatencyEstimator, analytic_latencies
-from repro.perf.calibration import memoized_estimator
 from repro.core.partition import partition_batch
 from repro.model.layers import ffn_gemms, projection_gemm, qkv_generation_gemm
 from repro.model.spec import ModelSpec
@@ -152,13 +151,11 @@ class NeuPimsDevice:
             raise ValueError("channel_pool must be positive")
         self.npu = NpuChip(self.config.npu, self.config.org,
                            self.config.bandwidth_derate)
-        # Algorithm-1 estimates are pure per seq_len; the memo makes the
-        # per-iteration MHA loads and admission bin packing O(1) lookups.
-        self.estimator = memoized_estimator(estimator or MhaLatencyEstimator(
+        self.estimator = estimator or MhaLatencyEstimator(
             spec=spec, org=self.config.org,
             latencies=analytic_latencies(self.config.timing, self.config.org,
                                          self.config.pim_timing),
-        ))
+        )
         #: Optional live per-channel load tracker (see
         #: :class:`~repro.core.binpack.ChannelLoadTracker`); when attached,
         #: admission-time bin packing starts from its loads instead of

@@ -18,9 +18,9 @@ checks the two agree.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import ceil
-from typing import Iterable, Optional, Tuple
+from typing import Dict, Iterable, Optional, Tuple
 
 from repro.dram.timing import HbmOrganization, PimTiming, TimingParams
 from repro.model.spec import ModelSpec
@@ -59,11 +59,18 @@ class MhaLatencyEstimator:
         HBM organization (``B_chnl`` banks per channel, ``P_DRAM`` page).
     latencies:
         Calibrated ``L_tile`` / ``L_GWRITE``.
+
+    :meth:`estimate` is a pure function of ``seq_len`` under these
+    inputs, and the serving loop asks for the same lengths every
+    iteration, so each instance memoizes it.  The memo takes no part in
+    equality, hashing or ``repr``.
     """
 
     spec: ModelSpec
     org: HbmOrganization
     latencies: CalibratedLatencies
+    _memo: Dict[int, float] = field(default_factory=dict, init=False,
+                                    compare=False, hash=False, repr=False)
 
     @property
     def _p_dram(self) -> int:
@@ -115,7 +122,11 @@ class MhaLatencyEstimator:
 
     def estimate(self, seq_len: int) -> float:
         """Total estimated MHA latency for one request (Algorithm 1)."""
-        return self.logit_latency(seq_len) + self.attend_latency(seq_len)
+        value = self._memo.get(seq_len)
+        if value is None:
+            value = self._memo[seq_len] = (self.logit_latency(seq_len)
+                                           + self.attend_latency(seq_len))
+        return value
 
     def estimate_batch(self, seq_lens: Iterable[int]) -> float:
         """Sum of estimates — the per-channel load metric of Algorithm 2.

@@ -27,41 +27,32 @@ from dataclasses import dataclass, field
 from typing import Callable, Tuple
 
 from repro.core.config import NeuPimsConfig
-from repro.model.spec import ModelSpec
 
 
 @dataclass(frozen=True)
 class PerfCacheWarmup:
-    """Warm the calibration (and optionally estimate) caches per worker."""
+    """Warm the calibration cache per worker.
+
+    Only calibration is shared through :mod:`repro.perf`; Algorithm-1
+    estimates are memoized per estimator instance, so there is nothing
+    for a worker to pre-estimate.
+    """
 
     configs: Tuple[NeuPimsConfig, ...] = field(
         default_factory=lambda: (NeuPimsConfig(),))
-    #: model specs to build estimators for (empty: calibration only)
-    specs: Tuple[ModelSpec, ...] = ()
-    #: sequence lengths to pre-estimate per (config, spec) pair
-    seq_lens: Tuple[int, ...] = ()
     #: element widths to calibrate per config (part of the cache key)
     dtype_bytes: Tuple[int, ...] = (2,)
 
     def __call__(self) -> None:
-        # Imports stay inside the call so pickling the warmup spec never
-        # drags the whole simulation stack into the parent-side payload.
-        from repro.core.estimator import MhaLatencyEstimator, analytic_latencies
-        from repro.perf.calibration import cached_calibrate, memoized_estimator
+        # The import stays inside the call so pickling the warmup spec
+        # never drags the whole simulation stack into the parent-side
+        # payload.
+        from repro.perf.calibration import cached_calibrate
 
         for config in self.configs:
             for dtype in self.dtype_bytes:
                 cached_calibrate(config.timing, config.org,
                                  config.pim_timing, dtype)
-            if not self.specs or not self.seq_lens:
-                continue
-            latencies = analytic_latencies(config.timing, config.org,
-                                           config.pim_timing)
-            for spec in self.specs:
-                estimator = memoized_estimator(MhaLatencyEstimator(
-                    spec=spec, org=config.org, latencies=latencies))
-                for seq_len in self.seq_lens:
-                    estimator.estimate(seq_len)
 
 
 @dataclass(frozen=True)

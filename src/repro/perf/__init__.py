@@ -5,16 +5,13 @@ Three caches back the serving-scale fast paths (see DESIGN.md):
 * :mod:`repro.perf.streams` interns GEMV command streams per
   ``(shape, organization, encoding, dtype)``;
 * :mod:`repro.perf.calibration` caches command-level calibration per
-  hardware configuration and memoizes Algorithm-1 estimates per sequence
-  length;
+  hardware configuration;
 * :mod:`repro.perf.cache` is the shared keyed-cache registry with
   uniform invalidation and hit/miss accounting.
 """
 
 from repro.perf.cache import KeyedCache, cache, cache_info, invalidate
-from repro.perf.calibration import (CALIBRATION_CACHE, ESTIMATE_CACHE,
-                                    MemoizedEstimator, cached_calibrate,
-                                    memoized_estimator)
+from repro.perf.calibration import CALIBRATION_CACHE, cached_calibrate
 from repro.perf.streams import STREAM_CACHE, gemv_stream, interned_stream
 
 __all__ = [
@@ -23,10 +20,7 @@ __all__ = [
     "cache_info",
     "invalidate",
     "CALIBRATION_CACHE",
-    "ESTIMATE_CACHE",
-    "MemoizedEstimator",
     "cached_calibrate",
-    "memoized_estimator",
     "STREAM_CACHE",
     "gemv_stream",
     "interned_stream",

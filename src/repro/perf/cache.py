@@ -1,10 +1,9 @@
 """Keyed, invalidatable caches shared by the performance fast paths.
 
 The command-level simulation and the serving stack recompute a lot of
-pure-function results: GEMV command streams for identical shapes,
-:func:`repro.pim.engine.calibrate` for identical hardware configs,
-Algorithm-1 estimates for identical sequence lengths.  This module is the
-one place those memoizations live, so they can be inspected
+pure-function results: GEMV command streams for identical shapes and
+:func:`repro.pim.engine.calibrate` for identical hardware configs.  This
+module is the one place those memoizations live, so they can be inspected
 (:func:`cache_info`) and dropped (:func:`invalidate`) uniformly.
 
 Keys must capture *every* input of the cached computation.  The hardware
@@ -42,10 +41,6 @@ class KeyedCache:
         self.max_weight = max_weight
         self.hits = 0
         self.misses = 0
-        #: bumped on every clear(); lets write-through L1 mirrors (e.g.
-        #: :class:`repro.perf.calibration.MemoizedEstimator`) detect
-        #: invalidation without re-keying the shared table per lookup
-        self.generation = 0
         self._weight_fn = weight
         self._entries: Dict[Hashable, Any] = {}
         self._weights: Dict[Hashable, float] = {}
@@ -94,7 +89,6 @@ class KeyedCache:
         self._entries.clear()
         self._weights.clear()
         self._total_weight = 0.0
-        self.generation += 1
 
     def info(self) -> Dict[str, float]:
         """Size, weight and hit/miss counters, for diagnostics and tests."""

@@ -1,26 +1,22 @@
-"""Cached hardware calibration and memoized Algorithm-1 estimates.
+"""Cached hardware calibration.
 
 :func:`repro.pim.engine.calibrate` replays command-level GEMVs to measure
 ``L_tile`` / ``L_GWRITE`` — worth doing once per hardware configuration,
-not once per caller.  Likewise the Algorithm-1 estimator is a pure
-function of ``(spec, org, latencies, seq_len)``; the serving loop asks for
-the same sequence lengths thousands of times per run.
+not once per caller.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Optional
+from typing import Optional
 
-from repro.core.estimator import MhaLatencyEstimator
 from repro.dram.timing import (DEFAULT_ORGANIZATION, DEFAULT_PIM_TIMING,
                                DEFAULT_TIMING, HbmOrganization, PimTiming,
                                TimingParams)
 from repro.perf.cache import cache
 from repro.pim.engine import CalibratedLatencies, calibrate
 
-#: Registry names for the two memo tables.
+#: Registry name of the calibration memo table.
 CALIBRATION_CACHE = "pim_calibration"
-ESTIMATE_CACHE = "mha_estimates"
 
 
 def cached_calibrate(timing: Optional[TimingParams] = None,
@@ -35,96 +31,3 @@ def cached_calibrate(timing: Optional[TimingParams] = None,
     key = (timing, org, pim_timing, dtype_bytes)
     return table.get_or_compute(
         key, lambda: calibrate(timing, org, pim_timing, dtype_bytes))
-
-
-class MemoizedEstimator:
-    """Wraps an :class:`MhaLatencyEstimator` with a per-seq-len memo.
-
-    Exposes the same interface (``spec`` / ``org`` / ``latencies`` and the
-    latency methods), so it drops into the bin packer, the device model and
-    the scheduler unchanged.  Entries live in the shared ``mha_estimates``
-    registry cache keyed by the estimator's frozen inputs plus the
-    sequence length, so two estimators over equal configurations share
-    entries and :func:`repro.perf.cache.invalidate` clears them all.
-    """
-
-    __slots__ = ("inner", "_table", "_base_key", "_l1", "_l1_generation")
-
-    #: safety bound on the per-instance mirror (distinct seq_lens)
-    _L1_MAX = 1 << 16
-
-    def __init__(self, inner: MhaLatencyEstimator) -> None:
-        # Unwrap to keep double memoization from stacking.
-        if isinstance(inner, MemoizedEstimator):
-            inner = inner.inner
-        self.inner = inner
-        self._table = cache(ESTIMATE_CACHE, max_entries=1 << 16)
-        # The estimator type is part of the key: a subclass overriding
-        # estimate() must not share entries with the base implementation
-        # even when the frozen inputs are equal.
-        self._base_key = (type(inner), inner.spec, inner.org,
-                          inner.latencies)
-        # Write-through seq_len -> estimate mirror of this instance's
-        # slice of the shared table.  The shared key is a nested tuple of
-        # frozen dataclasses whose hash is recomputed per lookup — too
-        # expensive for the serving loop, which estimates every resident
-        # request every iteration.  The mirror is flushed whenever the
-        # shared table's generation moves (i.e. on invalidate()), so the
-        # registry keeps its uniform-invalidation contract.
-        self._l1: dict = {}
-        self._l1_generation = self._table.generation
-
-    @property
-    def spec(self):
-        """The wrapped estimator's model spec."""
-        return self.inner.spec
-
-    @property
-    def org(self):
-        """The wrapped estimator's HBM organization."""
-        return self.inner.org
-
-    @property
-    def latencies(self):
-        """The wrapped estimator's calibrated latencies."""
-        return self.inner.latencies
-
-    def logit_latency(self, seq_len: int) -> float:
-        """Uncached pass-through of the logit GEMV latency."""
-        return self.inner.logit_latency(seq_len)
-
-    def attend_latency(self, seq_len: int) -> float:
-        """Uncached pass-through of the attend GEMV latency."""
-        return self.inner.attend_latency(seq_len)
-
-    def estimate(self, seq_len: int) -> float:
-        """Memoized total MHA latency for one request (Algorithm 1)."""
-        table = self._table
-        if self._l1_generation != table.generation:
-            self._l1.clear()
-            self._l1_generation = table.generation
-        value = self._l1.get(seq_len)
-        if value is not None:
-            # Mirror hits count as memo hits so the registry's accounting
-            # stays meaningful.
-            table.hits += 1
-            return value
-        value = table.get_or_compute(
-            (self._base_key, seq_len),
-            lambda: self.inner.estimate(seq_len))
-        if len(self._l1) >= self._L1_MAX:
-            self._l1.clear()
-        self._l1[seq_len] = value
-        return value
-
-    def estimate_batch(self, seq_lens: Iterable[int]) -> float:
-        """Sum of memoized estimates (Algorithm 2's load metric)."""
-        estimate = self.estimate
-        return sum(estimate(s) for s in seq_lens)
-
-
-def memoized_estimator(estimator: MhaLatencyEstimator) -> MemoizedEstimator:
-    """Memoize ``estimator`` (idempotent — re-wrapping is a no-op)."""
-    if isinstance(estimator, MemoizedEstimator):
-        return estimator
-    return MemoizedEstimator(estimator)

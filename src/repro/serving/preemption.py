@@ -1,14 +1,14 @@
-"""KV-cache preemption: swap-out / recompute instead of dropping requests.
+"""KV-cache preemption cost model for the resilience retry path.
 
-The base :class:`~repro.serving.scheduler.IterationScheduler` finishes a
-request early when its channel runs out of KV blocks mid-generation; real
-serving systems (vLLM) instead *preempt*: evict the victim's KV cache and
-later restore it, either by reloading a swapped copy from host memory or
-by recomputing the prefill.  This module implements both policies on top
-of the paged allocator, with explicit cost models so the serving examples
-can show the throughput/latency effect of memory pressure.
+When the :class:`~repro.serving.scheduler.IterationScheduler` retries a
+request (a deadline timeout, or a KV allocation failure mid-generation
+with retries left), it releases the victim's KV blocks through
+:class:`PreemptingAllocatorPool` instead of dropping the request.  Real
+serving systems (vLLM) restore such a request either by reloading a
+swapped copy from host memory or by recomputing its prefill; the pool
+records the cycle cost of the chosen policy, and the iteration that
+re-admits the request is charged that cost.
 """
-
 from __future__ import annotations
 
 from dataclasses import dataclass
@@ -60,12 +60,11 @@ class PreemptionEvent:
 
 
 class PreemptingAllocatorPool:
-    """Per-channel allocators with a preemption escape hatch.
+    """Per-channel allocators plus the restore costs of evicted requests.
 
-    When a request cannot grow its allocation, the pool evicts the
-    *youngest* running request on that channel (vLLM's policy: the most
-    recently admitted request has generated the least work to lose),
-    records the restoration cost, and retries.
+    :meth:`preempt` releases a victim's KV blocks and records what it
+    costs to bring it back; :meth:`restore_cost` hands that cost to the
+    re-admitting iteration exactly once.  The scheduler picks the victim.
     """
 
     def __init__(self, allocators: Sequence[PagedKvAllocator],
@@ -82,27 +81,6 @@ class PreemptingAllocatorPool:
         #: requests currently swapped out / pending recompute, with the
         #: cycle cost to bring each back
         self.preempted: Dict[int, float] = {}
-        self._admission_order: List[int] = []
-
-    # ------------------------------------------------------------------
-
-    def note_admission(self, request: InferenceRequest) -> None:
-        """Record admission order (eviction prefers the youngest)."""
-        if request.request_id not in self._admission_order:
-            self._admission_order.append(request.request_id)
-
-    def _youngest_on_channel(self, requests: Sequence[InferenceRequest],
-                             channel: int,
-                             exclude: int) -> Optional[InferenceRequest]:
-        candidates = [r for r in requests
-                      if r.channel == channel
-                      and r.request_id != exclude
-                      and r.status is RequestStatus.RUNNING]
-        if not candidates:
-            return None
-        order = {rid: i for i, rid in enumerate(self._admission_order)}
-        return max(candidates,
-                   key=lambda r: order.get(r.request_id, -1))
 
     def preempt(self, victim: InferenceRequest) -> PreemptionEvent:
         """Evict one running request's KV cache."""
@@ -126,25 +104,6 @@ class PreemptingAllocatorPool:
         self.preempted[victim.request_id] = restore
         return event
 
-    def grow(self, request: InferenceRequest,
-             running: Sequence[InferenceRequest]) -> bool:
-        """Grow ``request``'s allocation, preempting others if needed.
-
-        Returns ``True`` on success; ``False`` if even after evicting all
-        other requests on the channel the allocation cannot fit (the
-        request itself is then the only occupant and genuinely too large).
-        """
-        channel = request.channel if request.channel is not None else 0
-        allocator = self.allocators[channel]
-        while not allocator.can_allocate(request.request_id, request.seq_len):
-            victim = self._youngest_on_channel(running, channel,
-                                               exclude=request.request_id)
-            if victim is None:
-                return False
-            self.preempt(victim)
-        allocator.allocate(request.request_id, request.seq_len)
-        return True
-
     def restore_cost(self, request_id: int) -> float:
         """Cycles owed to restore a preempted request (0 if not preempted)."""
         return self.preempted.pop(request_id, 0.0)
@@ -152,61 +111,3 @@ class PreemptingAllocatorPool:
     @property
     def preemption_count(self) -> int:
         return len(self.events)
-
-
-def run_with_preemption(scheduler_pool, device, requests,
-                        allocators: Sequence[PagedKvAllocator],
-                        kv_bytes_per_token: int,
-                        policy: RestorePolicy = RestorePolicy.RECOMPUTE,
-                        max_iterations: int = 100_000):
-    """Serve ``requests`` with preemption-aware memory management.
-
-    A compact serving loop (the base scheduler's admission plus the
-    preempting pool): each iteration admits what fits, grows allocations
-    with preemption, charges restoration costs as extra iteration latency,
-    and retires finished requests.  Returns (total_cycles, tokens, pool).
-    """
-    pool = PreemptingAllocatorPool(allocators, kv_bytes_per_token,
-                                   policy=policy)
-    scheduler_pool.submit_all(requests)
-    now = 0.0
-    tokens = 0
-    for _ in range(max_iterations):
-        done = scheduler_pool.retire_finished()
-        for request in done:
-            channel = request.channel if request.channel is not None else 0
-            allocators[channel].release(request.request_id)
-
-        waiting = scheduler_pool.waiting(now)
-        running = scheduler_pool.running()
-        restore_penalty = 0.0
-        for request in waiting:
-            if request.channel is None:
-                device.assign_channels([request], running)
-            channel = request.channel if request.channel is not None else 0
-            if allocators[channel].can_allocate(request.request_id,
-                                                request.seq_len):
-                allocators[channel].allocate(request.request_id,
-                                             request.seq_len)
-                request.begin_generation(channel)
-                pool.note_admission(request)
-                restore_penalty += pool.restore_cost(request.request_id)
-        batch = scheduler_pool.running()
-        if not batch:
-            pending = scheduler_pool.waiting()
-            if not pending:
-                break
-            now = max(now, min(r.arrival_time for r in pending))
-            continue
-
-        latency = device.iteration(batch).latency + restore_penalty
-        now += latency
-        for request in batch:
-            request.advance(1)
-            tokens += 1
-            if not request.is_finished:
-                if not pool.grow(request, batch):
-                    # Cannot ever fit: finish early (degenerate case).
-                    request.generated = request.output_len
-                    request.status = RequestStatus.DONE
-    return now, tokens, pool

@@ -104,8 +104,8 @@ class IterationScheduler:
         packing starts from up-to-date per-channel loads without
         re-estimating the whole resident set each iteration.
     grouping / grouped:
-        The equivalence-class fast path.  With ``grouping`` ``"auto"`` or
-        ``"on"`` and a :class:`~repro.serving.grouping.GroupedExecutor`,
+        The equivalence-class fast path.  With ``grouping="auto"`` and a
+        :class:`~repro.serving.grouping.GroupedExecutor`,
         steady-state iterations (no retirements, no admissible arrivals,
         enough KV blocks for the batched growth) commit through the
         class-grouped engine: the iteration latency comes from the frozen
@@ -158,8 +158,6 @@ class IterationScheduler:
         if grouping not in GROUPING_MODES:
             raise ValueError(f"unknown grouping mode {grouping!r}; "
                              f"known: {GROUPING_MODES}")
-        if grouping == "on" and grouped is None:
-            raise ValueError("grouping='on' requires a GroupedExecutor")
         self.pool = pool
         self.executor = executor
         self.max_batch_size = max_batch_size

@@ -1,7 +1,7 @@
-"""Discrete-event simulation kernel and statistics utilities."""
+"""Timing resources, the observer event bus and statistics utilities."""
 
-from repro.sim.engine import EventEngine, Resource, SimulationError
-from repro.sim.events import ClockAdvanced, EventBus
+from repro.sim.engine import Resource, SimulationError
+from repro.sim.events import EventBus
 from repro.sim.stats import (
     Counter,
     StatsRegistry,
@@ -14,9 +14,7 @@ from repro.sim.stats import (
 )
 
 __all__ = [
-    "ClockAdvanced",
     "EventBus",
-    "EventEngine",
     "Resource",
     "SimulationError",
     "Counter",

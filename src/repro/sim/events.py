@@ -6,7 +6,7 @@ the observer path must cost nothing when nobody is watching, or the
 instrumented system is no longer the system being measured (McKenney's
 rule for lock-free observation).  The bus here encodes that contract:
 
-* Producers (the serving scheduler, the event engine, sessions) hold an
+* Producers (the serving scheduler, sessions, the fleet router) hold an
   ``Optional[EventBus]`` and guard every emission with
   ``bus is not None and bus.active`` — with no subscribers the cost is
   one attribute read and a branch, and **no event object is ever
@@ -22,23 +22,10 @@ for the serving taxonomy); the bus is type-agnostic and dispatches on
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Type
 
 #: An event consumer; receives the event object, return value ignored.
 EventHandler = Callable[[Any], None]
-
-
-@dataclass(frozen=True)
-class ClockAdvanced:
-    """The engine executed an event and moved its clock to ``time``.
-
-    The only event the kernel itself publishes (attach a bus via
-    :meth:`repro.sim.engine.EventEngine.attach_events`); higher layers
-    define their own taxonomies (:mod:`repro.serving.events`).
-    """
-
-    time: float
 
 
 class EventBus:

@@ -275,6 +275,12 @@ class TestFaultFlags:
                                           "--faults", "none"])
         assert build_spec(args).faults == "none"
 
+    def test_fault_seed_on_measurement_traffic_exits_2(self, capsys):
+        assert main(["run", "--model", "gpt3-7b", "--fidelity", "analytic",
+                     "--layers-resident", "2", "--fault-seed", "3"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "faults" in err
+
     def test_faulted_run_round_trips_through_spec_json(self, tmp_path):
         from repro.api import ScenarioSpec, run_scenario
         out = tmp_path / "faulted.json"

@@ -14,7 +14,7 @@ from repro.api.bench import bucketed_replay_triples
 from repro.serving.events import (IterationCompleted, KvPressure,
                                   RequestAdmitted, RequestRetired,
                                   WindowCommitted)
-from repro.sim.events import ClockAdvanced, EventBus
+from repro.sim.events import EventBus
 
 FAST = dict(model="gpt3-7b", fidelity="analytic")
 
@@ -84,27 +84,14 @@ class TestEventBus:
     def test_type_dispatch_and_wildcard_order(self):
         bus = EventBus()
         seen = []
-        bus.subscribe(ClockAdvanced, lambda e: seen.append(("typed", e)))
+        bus.subscribe(IterationCompleted,
+                      lambda e: seen.append(("typed", e)))
         bus.subscribe(None, lambda e: seen.append(("any", e)))
-        event = ClockAdvanced(time=3.0)
+        event = IterationCompleted(time=3.0, record=None)
         bus.emit(event)
         bus.emit("unrelated")
         assert seen == [("typed", event), ("any", event),
                         ("any", "unrelated")]
-
-    def test_engine_publishes_clock_advanced(self):
-        from repro.sim.engine import EventEngine
-        engine = EventEngine()
-        bus = EventBus()
-        engine.attach_events(bus)
-        engine.schedule_at(5.0, lambda: None)
-        engine.run()  # no subscribers: nothing constructed, still runs
-        times = []
-        bus.subscribe(ClockAdvanced, lambda e: times.append(e.time))
-        engine.schedule_at(7.0, lambda: None)
-        engine.schedule_at(9.0, lambda: None)
-        engine.run()
-        assert times == [7.0, 9.0]
 
 
 class TestStreamBatchEquality:

@@ -224,6 +224,21 @@ class TestSpecRoundTrip:
         with pytest.raises(ValueError):
             ServingSpec(shed_wait_cycles=0.0)
 
+    def test_measurement_session_rejects_faults(self):
+        """Warmed measurement batches never reach the serving scheduler,
+        so faults or resilience knobs there fail at materialize time
+        instead of being dropped."""
+        from repro.api import Session
+        with pytest.raises(ValueError, match="faults"):
+            Session(ScenarioSpec(faults="seeded",
+                                 faults_options={"seed": 3})).run()
+        with pytest.raises(ValueError, match="deadline_cycles"):
+            Session(ScenarioSpec(
+                model="gpt3-7b", fidelity="analytic", layers_resident=2,
+                traffic=TrafficSpec.warmed(batch_size=4),
+                serving=ServingSpec(deadline_cycles=5.0,
+                                    max_retries=2))).run()
+
     def test_unknown_faults_name_rejected_at_spec_time(self):
         with pytest.raises(ValueError):
             ScenarioSpec(model="gpt3-7b", fidelity="analytic",

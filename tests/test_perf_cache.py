@@ -7,18 +7,20 @@ hardware dataclasses must miss — plus value equality with the uncached
 paths, invalidation, and the live-load tracker against recomputation.
 """
 
+import pickle
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.binpack import (ChannelLoadTracker, channel_loads,
                                 greedy_min_load_assign)
 from repro.core.estimator import MhaLatencyEstimator, analytic_latencies
 from repro.dram.timing import HbmOrganization, PimTiming, TimingParams
-from repro.model.spec import get_model
+from repro.model.spec import MODEL_REGISTRY, get_model
 from repro.perf import (cache, cache_info, cached_calibrate, gemv_stream,
-                        interned_stream, invalidate, memoized_estimator)
-from repro.perf.calibration import ESTIMATE_CACHE
+                        interned_stream, invalidate)
 from repro.perf.streams import STREAM_CACHE
 from repro.pim.engine import calibrate
 from repro.pim.gemv import GemvOp, composite_stream, fine_grained_stream
@@ -131,40 +133,59 @@ class TestCalibrationCache:
         assert other == calibrate(timing=slow_rows)
 
 
-class TestMemoizedEstimator:
-    def test_values_match_inner(self):
-        inner = estimator()
-        memo = memoized_estimator(inner)
-        for seq in (1, 77, 512, 2048):
-            assert memo.estimate(seq) == inner.estimate(seq)
-        assert memo.estimate_batch([64, 64, 128]) \
-            == inner.estimate_batch([64, 64, 128])
+class TestEstimateMemo:
+    """The estimator's own per-instance Algorithm-1 memo."""
 
-    def test_repeated_seq_len_hits(self):
-        memo = memoized_estimator(estimator())
-        memo.estimate(333)
-        before = cache(ESTIMATE_CACHE).hits
-        memo.estimate(333)
-        assert cache(ESTIMATE_CACHE).hits == before + 1
+    @settings(max_examples=60, deadline=None)
+    @given(name=st.sampled_from(sorted(MODEL_REGISTRY)),
+           seq_len=st.integers(min_value=1, max_value=65536))
+    def test_values_match_closed_form(self, name, seq_len):
+        est = MhaLatencyEstimator(spec=get_model(name), org=ORG,
+                                  latencies=analytic_latencies())
+        expected = est.logit_latency(seq_len) + est.attend_latency(seq_len)
+        assert est.estimate(seq_len) == expected
+        assert est.estimate(seq_len) == expected  # served from the memo
 
-    def test_wrapping_is_idempotent(self):
-        memo = memoized_estimator(estimator())
-        assert memoized_estimator(memo) is memo
+    def test_second_call_does_not_recompute(self, monkeypatch):
+        est = estimator()
+        calls = []
+        logit = MhaLatencyEstimator.logit_latency
+
+        def counting_logit(self, seq_len):
+            calls.append(seq_len)
+            return logit(self, seq_len)
+
+        monkeypatch.setattr(MhaLatencyEstimator, "logit_latency",
+                            counting_logit)
+        first = est.estimate(333)
+        assert est.estimate(333) == first
+        assert calls == [333]
+        est.estimate_batch([333, 333, 64])
+        assert calls == [333, 64]
+
+    def test_memo_contents_do_not_affect_identity(self):
+        warm, cold = estimator(), estimator()
+        for seq in (1, 77, 512):
+            warm.estimate(seq)
+        assert warm == cold
+        assert hash(warm) == hash(cold)
+        assert "_memo" not in repr(warm)
+        restored = pickle.loads(pickle.dumps(warm))
+        assert restored == warm
+        assert restored.estimate(512) == cold.estimate(512)
 
     def test_different_org_estimators_do_not_collide(self):
         spec = get_model("gpt3-7b")
-        lat = analytic_latencies()
-        a = memoized_estimator(MhaLatencyEstimator(spec=spec, org=ORG,
-                                                   latencies=lat))
+        a = MhaLatencyEstimator(spec=spec, org=ORG,
+                                latencies=analytic_latencies())
         narrow = replace(ORG, banks_per_channel=16, channels=32)
-        b = memoized_estimator(MhaLatencyEstimator(
-            spec=spec, org=narrow,
-            latencies=analytic_latencies(org=narrow)))
+        b = MhaLatencyEstimator(spec=spec, org=narrow,
+                                latencies=analytic_latencies(org=narrow))
         assert a.estimate(512) != b.estimate(512)
 
     def test_subclass_estimator_does_not_share_entries(self):
         """An overriding subclass with equal frozen inputs must not read
-        the base implementation's cached values."""
+        the base implementation's memoized values."""
         inner = estimator()
 
         class Doubled(MhaLatencyEstimator):
@@ -173,18 +194,16 @@ class TestMemoizedEstimator:
 
         doubled = Doubled(spec=inner.spec, org=inner.org,
                           latencies=inner.latencies)
-        base_memo = memoized_estimator(inner)
-        doubled_memo = memoized_estimator(doubled)
-        assert base_memo.estimate(512) == inner.estimate(512)
-        assert doubled_memo.estimate(512) == 2 * inner.estimate(512)
+        assert inner.estimate(512) == doubled.estimate(512) / 2
+        assert doubled.estimate(512) == 2 * inner.estimate(512)
 
-    def test_invalidate_clears_memo(self):
-        memo = memoized_estimator(estimator())
-        memo.estimate(100)
-        invalidate(ESTIMATE_CACHE)
-        assert cache_info()[ESTIMATE_CACHE]["size"] == 0
-        # Still correct after invalidation.
-        assert memo.estimate(100) == memo.inner.estimate(100)
+    def test_serving_run_uses_no_shared_estimate_cache(self):
+        from repro.api import ScenarioSpec, Session, TrafficSpec
+        Session(ScenarioSpec(
+            model="gpt3-7b", fidelity="analytic", layers_resident=2,
+            traffic=TrafficSpec.poisson(horizon_cycles=2e6, seed=3,
+                                        max_requests=8))).run()
+        assert "mha_estimates" not in cache_info()
 
 
 def request(rid, seq, channel=None):
@@ -195,7 +214,7 @@ def request(rid, seq, channel=None):
 
 class TestChannelLoadTracker:
     def test_tracks_like_recompute(self):
-        est = memoized_estimator(estimator())
+        est = estimator()
         tracker = ChannelLoadTracker(est, 4)
         requests = [request(i, 64 + 32 * i, channel=i % 4) for i in range(12)]
         for req in requests:
@@ -203,7 +222,7 @@ class TestChannelLoadTracker:
         assert tracker.loads == channel_loads(requests, est, 4)
 
     def test_update_follows_growth(self):
-        est = memoized_estimator(estimator())
+        est = estimator()
         tracker = ChannelLoadTracker(est, 2)
         req = request(0, 100, channel=1)
         tracker.add(req)

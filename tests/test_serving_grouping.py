@@ -115,15 +115,6 @@ class TestRecordIdentity:
 
 
 class TestGroupingModes:
-    def test_on_requires_class_engine(self):
-        spec = ScenarioSpec(
-            system="gpu-only", layers_resident=2, model="gpt3-7b",
-            fidelity="analytic",
-            traffic=TrafficSpec.poisson(horizon_cycles=1e6),
-            serving=ServingSpec(grouping="on"))
-        with pytest.raises(ValueError, match="class-grouped"):
-            Session(spec).materialize()
-
     def test_auto_falls_back_for_baselines(self):
         base = ScenarioSpec(
             system="gpu-only", layers_resident=2, model="gpt3-7b",
@@ -141,14 +132,12 @@ class TestGroupingModes:
         with pytest.raises(ValueError, match="grouping"):
             IterationScheduler(pool, lambda batch: 1.0, 4,
                                grouping="sometimes")
-        with pytest.raises(ValueError, match="GroupedExecutor"):
-            IterationScheduler(pool, lambda batch: 1.0, 4, grouping="on")
 
     def test_grouping_knob_round_trips(self):
-        spec = ScenarioSpec(serving=ServingSpec(grouping="on"))
+        spec = ScenarioSpec(serving=ServingSpec(grouping="off"))
         assert ScenarioSpec.from_dict(spec.to_dict()).serving.grouping == \
-            "on"
-        assert spec.override(grouping="off").serving.grouping == "off"
+            "off"
+        assert spec.override(grouping="auto").serving.grouping == "auto"
 
 
 class TestGroupCommitWindows:

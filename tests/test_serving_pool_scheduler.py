@@ -122,8 +122,6 @@ class TestObserverLifecycle:
             request.begin_generation(0)
             allocator.allocate(request.request_id, request.seq_len)
         preempting = PreemptingAllocatorPool([allocator], 1024)
-        preempting.note_admission(victim)
-        preempting.note_admission(survivor)
 
         event = preempting.preempt(victim)
         # The observer moved the victim back to the WAITING bucket.

@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.core.device import NeuPimsDevice
 from repro.model.spec import GPT3_7B
 from repro.serving.paging import PagedKvAllocator, PagedKvConfig
 from repro.serving.pool import RequestPool
@@ -10,7 +9,6 @@ from repro.serving.preemption import (
     PreemptingAllocatorPool,
     PreemptionCosts,
     RestorePolicy,
-    run_with_preemption,
 )
 from repro.serving.request import InferenceRequest, RequestStatus
 
@@ -41,40 +39,6 @@ class TestPreemptionCosts:
 
 
 class TestPreemptingPool:
-    def test_grow_without_pressure_no_preemption(self):
-        allocator = small_allocator(blocks=8)
-        pool = PreemptingAllocatorPool([allocator],
-                                       GPT3_7B.kv_bytes_per_token())
-        request = running_request(0)
-        allocator.allocate(0, request.seq_len)
-        assert pool.grow(request, [request])
-        assert pool.preemption_count == 0
-
-    def test_grow_preempts_youngest(self):
-        allocator = small_allocator(blocks=4)
-        pool = PreemptingAllocatorPool([allocator],
-                                       GPT3_7B.kv_bytes_per_token())
-        old = running_request(0, seq=16)
-        young = running_request(1, seq=16)
-        for request in (old, young):
-            allocator.allocate(request.request_id, request.seq_len)
-            pool.note_admission(request)
-        # Old request grows to need 3 blocks: young must be evicted.
-        old.generated = 33
-        assert pool.grow(old, [old, young])
-        assert pool.preemption_count == 1
-        assert pool.events[0].request_id == 1
-        assert young.status is RequestStatus.WAITING
-
-    def test_grow_fails_when_alone_and_too_big(self):
-        allocator = small_allocator(blocks=2)
-        pool = PreemptingAllocatorPool([allocator],
-                                       GPT3_7B.kv_bytes_per_token())
-        request = running_request(0, seq=16)
-        allocator.allocate(0, 16)
-        request.generated = 1000  # needs far more than 2 blocks
-        assert not pool.grow(request, [request])
-
     def test_restore_cost_recompute_scales_with_context(self):
         allocator = small_allocator(blocks=4)
         pool = PreemptingAllocatorPool(
@@ -83,7 +47,6 @@ class TestPreemptingPool:
             costs=PreemptionCosts(recompute_cycles_per_token=100.0))
         victim = running_request(2, seq=50)
         allocator.allocate(2, 50)
-        pool.note_admission(victim)
         event = pool.preempt(victim)
         assert event.restore_cost_cycles == pytest.approx(50 * 100.0)
         assert pool.restore_cost(2) == pytest.approx(5000.0)
@@ -103,37 +66,6 @@ class TestPreemptingPool:
     def test_invalid_kv_bytes_raise(self):
         with pytest.raises(ValueError):
             PreemptingAllocatorPool([small_allocator()], 0)
-
-
-class TestPreemptiveServing:
-    def _run(self, blocks, policy):
-        device = NeuPimsDevice(GPT3_7B, tp=4, layers_resident=2)
-        pool = RequestPool()
-        requests = [InferenceRequest(i, input_len=24, output_len=24)
-                    for i in range(6)]
-        allocators = [small_allocator(blocks=blocks)
-                      for _ in range(device.channel_pool)]
-        return run_with_preemption(
-            pool, device, requests, allocators,
-            GPT3_7B.kv_bytes_per_token(), policy=policy)
-
-    def test_all_tokens_generated_under_pressure(self):
-        cycles, tokens, pool = self._run(blocks=3,
-                                         policy=RestorePolicy.RECOMPUTE)
-        assert tokens >= 6 * 24  # preempted requests regenerate tokens
-        assert cycles > 0
-
-    def test_no_preemptions_with_ample_memory(self):
-        _, _, pool = self._run(blocks=64, policy=RestorePolicy.RECOMPUTE)
-        assert pool.preemption_count == 0
-
-    def test_memory_pressure_slows_serving(self):
-        tight_cycles, _, tight_pool = self._run(
-            blocks=3, policy=RestorePolicy.RECOMPUTE)
-        ample_cycles, _, _ = self._run(blocks=64,
-                                       policy=RestorePolicy.RECOMPUTE)
-        if tight_pool.preemption_count > 0:
-            assert tight_cycles > ample_cycles
 
 
 class TestResilientReadmission:

@@ -1,110 +1,8 @@
-"""Unit tests for the discrete-event engine and resources."""
+"""Unit tests for the busy-interval resources."""
 
 import pytest
 
-from repro.sim.engine import EventEngine, Resource, SimulationError
-
-
-class TestEventEngine:
-    def test_events_fire_in_time_order(self):
-        engine = EventEngine()
-        fired = []
-        engine.schedule_at(5.0, lambda: fired.append("late"))
-        engine.schedule_at(1.0, lambda: fired.append("early"))
-        engine.run()
-        assert fired == ["early", "late"]
-
-    def test_ties_break_by_insertion_order(self):
-        engine = EventEngine()
-        fired = []
-        engine.schedule_at(3.0, lambda: fired.append("first"))
-        engine.schedule_at(3.0, lambda: fired.append("second"))
-        engine.run()
-        assert fired == ["first", "second"]
-
-    def test_now_advances_to_event_time(self):
-        engine = EventEngine()
-        engine.schedule_at(7.5, lambda: None)
-        engine.run()
-        assert engine.now == 7.5
-
-    def test_schedule_after_uses_relative_delay(self):
-        engine = EventEngine()
-        times = []
-        engine.schedule_at(4.0, lambda: engine.schedule_after(
-            2.0, lambda: times.append(engine.now)))
-        engine.run()
-        assert times == [6.0]
-
-    def test_scheduling_in_past_raises(self):
-        engine = EventEngine()
-        engine.schedule_at(10.0, lambda: None)
-        engine.run()
-        with pytest.raises(SimulationError):
-            engine.schedule_at(5.0, lambda: None)
-
-    def test_negative_delay_raises(self):
-        engine = EventEngine()
-        with pytest.raises(SimulationError):
-            engine.schedule_after(-1.0, lambda: None)
-
-    def test_cancelled_event_does_not_fire(self):
-        engine = EventEngine()
-        fired = []
-        handle = engine.schedule_at(1.0, lambda: fired.append("x"))
-        engine.cancel(handle)
-        engine.run()
-        assert fired == []
-
-    def test_run_until_stops_before_later_events(self):
-        engine = EventEngine()
-        fired = []
-        engine.schedule_at(1.0, lambda: fired.append("a"))
-        engine.schedule_at(10.0, lambda: fired.append("b"))
-        engine.run(until=5.0)
-        assert fired == ["a"]
-        assert engine.now == 5.0
-        assert engine.pending() == 1
-
-    def test_step_returns_false_when_drained(self):
-        engine = EventEngine()
-        assert engine.step() is False
-
-    def test_cancel_after_execution_keeps_pending_sound(self):
-        """Cancelling a fired (or already-cancelled) event is a no-op and
-        must not corrupt the O(1) pending counter."""
-        engine = EventEngine()
-        handle = engine.schedule_at(1.0, lambda: None)
-        engine.run()
-        engine.cancel(handle)
-        engine.cancel(handle)
-        assert engine.pending() == 0
-        live = engine.schedule_at(2.0, lambda: None)
-        assert engine.pending() == 1
-        engine.cancel(live)
-        engine.cancel(live)
-        assert engine.pending() == 0
-
-    def test_peek_time_skips_cancelled(self):
-        engine = EventEngine()
-        handle = engine.schedule_at(1.0, lambda: None)
-        engine.schedule_at(2.0, lambda: None)
-        engine.cancel(handle)
-        assert engine.peek_time() == 2.0
-
-    def test_events_can_schedule_new_events(self):
-        engine = EventEngine()
-        fired = []
-
-        def chain(depth):
-            fired.append(depth)
-            if depth < 3:
-                engine.schedule_after(1.0, lambda: chain(depth + 1))
-
-        engine.schedule_at(0.0, lambda: chain(0))
-        engine.run()
-        assert fired == [0, 1, 2, 3]
-        assert engine.now == 3.0
+from repro.sim.engine import Resource, SimulationError
 
 
 class TestResource:
